@@ -130,7 +130,8 @@ fi
 # the tuner CLIs (pimtune's three-way replay must show the online
 # tuner beating the best static configuration with every SLA met;
 # pimserve --auto-tune must emit its tuner section) so the documented
-# examples keep working.
+# examples keep working, and check that both CLIs reject a request
+# too large to buffer with exit 2.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -159,6 +160,20 @@ PYEOF
         --json "$DOCS_TMP/serve.tune.json" > /dev/null
     python3 -m json.tool "$DOCS_TMP/serve.tune.json" > /dev/null
     grep -q '"tuner"' "$DOCS_TMP/serve.tune.json"
+    # A request too large to buffer is a usage error (exit 2 naming
+    # the line), never an abort.
+    echo 'request function=sin elements=4294967295' \
+        > "$DOCS_TMP/huge.trace"
+    for tool in pimserve pimtune; do
+        status=0
+        "$BUILD_DIR/tools/$tool" --trace "$DOCS_TMP/huge.trace" \
+            > /dev/null 2> "$DOCS_TMP/huge.err" || status=$?
+        if [ "$status" != 2 ]; then
+            echo "$tool: huge request exited $status, want 2" >&2
+            exit 1
+        fi
+        grep -q 'huge.trace:1: ' "$DOCS_TMP/huge.err"
+    done
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
 fi
 

@@ -186,8 +186,8 @@ Journal::toJsonl() const
     std::vector<JournalEvent> evs = events();
     std::vector<RequestLatency> lats = latencies();
     // Canonical order: events by (t, kind, request, wave, rank) —
-    // modeled time first so the log reads causally; rank last so the
-    // fleet path stays canonical when two ranks tie on everything
+    // modeled time first so the log reads causally; rank last so a
+    // multi-rank run stays canonical when two ranks tie on everything
     // else; stable_sort keeps any residual ties in (deterministic
     // single-consumer) append order.
     std::stable_sort(evs.begin(), evs.end(),

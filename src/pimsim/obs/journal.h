@@ -65,7 +65,9 @@ struct JournalEvent
     uint64_t wave = kNoWave; ///< serving wave index, if any
     uint64_t elements = 0; ///< elements this event covers
     uint64_t cycles = 0;   ///< modeled DPU cycles (compute events)
-    int32_t rank = -1;     ///< executing rank (fleet path); -1 = flat
+    /** Executing rank; -1 = placed on none (enqueue events and
+     * out-of-cores drops), and then not serialized. */
+    int32_t rank = -1;
     /** Owning tenant (enqueue / tune events); serialized only when
      * nonzero, so tenant-oblivious runs keep their exact bytes. */
     uint64_t tenant = 0;

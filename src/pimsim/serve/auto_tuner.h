@@ -126,13 +126,14 @@ struct WaveOutcome
 };
 
 /**
- * The routing hook PipelineOptions::autoTuner points at. Both serve
- * drivers (flat ServePipeline and FleetScheduler) call it the same
- * way: bindCache() once per run, route() on every generation-0 wave
- * popped from the queue (retries keep their routed table), and
- * observe() after every wave's gather. In pipelined mode wave N+1 is
- * routed before wave N is observed — a deliberate one-wave decision
- * lag that keeps the two-deep schedule intact (docs/autotuner.md).
+ * The routing hook PipelineOptions::autoTuner points at.
+ * ServePipeline calls bindCache() once per run, route() on every
+ * generation-0 wave popped from the queue (retries keep their routed
+ * table), and observe() after every wave's gather. In pipelined mode
+ * a wave is gathered only when its rank begins its next wave, so
+ * wave N+1 is routed before wave N is observed — a deliberate
+ * decision lag of at least one wave that keeps the two-deep schedule
+ * intact (docs/autotuner.md).
  */
 class AutoTuner
 {

@@ -1,15 +1,20 @@
 /**
  * @file
- * ServePipeline implementation.
+ * ServePipeline implementation: the one serve drive loop.
  *
- * The drive loop is a two-deep software pipeline over the modeled
- * timeline: while wave N is "computing" (its cycles reserved on the
- * DPU lanes), the host lane already streams wave N+1's scatter, and
- * wave N's gather queues up behind it. The wall-clock simulation is
- * eager — each leg simulates fully when issued — so issue order only
- * decides how legs queue on the modeled lanes, never what they
- * compute; results are bit-identical between pipelined and
- * synchronous modes (fault-free), and across TPL_SIM_THREADS.
+ * Every run is a fleet run. A system without a matching topology is
+ * one rank of all its DPUs (Topology{1, 1, N}), so the flat
+ * single-system schedule is the one-rank case of the rank-aware
+ * loop below. Each wave executes on one rank, and each rank runs a
+ * two-deep software pipeline over the modeled timeline: while wave
+ * N computes on the rank's DPU lanes, the rank's transfer lane
+ * already streams wave N+1's scatter, and wave N's gather queues up
+ * behind it. The wall-clock simulation is eager — each leg
+ * simulates fully when issued — so issue order only decides how legs
+ * queue on the modeled lanes, never what they compute; results are
+ * bit-identical between pipelined and synchronous modes (fault-free)
+ * and across TPL_SIM_THREADS, and all bookkeeping runs on the
+ * consumer thread against modeled times.
  */
 
 #include "pimsim/serve/pipeline.h"
@@ -21,17 +26,171 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
 #include "pimsim/serve/auto_tuner.h"
-#include "pimsim/serve/fleet.h"
-#include "pimsim/serve/wave_util.h"
 
 namespace tpl {
 namespace sim {
 namespace serve {
+
+namespace {
+
+/** A wave waiting to execute: fresh from the queue (generation 0) or
+ * re-queued after failures. */
+struct PendingWave
+{
+    Wave wave;
+    uint32_t generation = 0;
+    /** Set when the auto-tuner rerouted this wave to another table;
+     * the driver stamps it as a `tune` journal event at scatter
+     * start. Empty on the untuned path. */
+    std::string tuneNote;
+};
+
+/** One request's share of a wave (journal/flow bookkeeping). */
+struct WaveReq
+{
+    uint64_t id = 0;
+    uint64_t elements = 0; ///< this request's elements in the wave
+    bool last = false;     ///< wave carries the request's tail
+    double arrival = 0.0;
+};
+
+/** Everything one in-flight wave carries between its begin (scatter)
+ * and finish (gather + distribute) steps. */
+struct WaveExec
+{
+    Wave wave;
+    uint32_t generation = 0;
+    uint32_t parity = 0;
+    uint64_t waveIndex = 0; ///< execution-order wave number
+    const TableBinding* binding = nullptr;
+    std::vector<float> stagingIn;  ///< packed item inputs
+    std::vector<ShardTask> slices; ///< one per participating DPU
+    std::vector<uint64_t> itemStart; ///< wave-relative item offsets
+    std::vector<WaveReq> reqs; ///< unique requests, item order
+    WaveStats stats;
+    PipelineEvent scatterEv;
+    PipelineEvent computeEv;
+};
+
+/** Collapse a wave's items into per-request shares, first-appearance
+ * item order. */
+std::vector<WaveReq>
+collectWaveReqs(const Wave& w)
+{
+    std::vector<WaveReq> reqs;
+    // Index by request id so a wave of many thousands of items stays
+    // linear; output order is still first appearance in item order.
+    std::unordered_map<uint64_t, size_t> index;
+    index.reserve(w.items.size());
+    for (const WaveItem& it : w.items) {
+        auto [pos, fresh] = index.try_emplace(it.requestId, reqs.size());
+        if (fresh)
+            reqs.push_back(
+                {it.requestId, 0, false, it.arrivalSeconds});
+        WaveReq& r = reqs[pos->second];
+        r.elements += it.elements;
+        r.last = r.last || it.last;
+    }
+    return reqs;
+}
+
+/** Move the first @p budget elements of @p w into the returned wave;
+ * @p w keeps the remainder. Items crossing the cut are split against
+ * the original request memory, and the `last` flag follows the
+ * request's tail (it stays on the remainder, never the head). */
+Wave
+takeWaveHead(Wave& w, uint64_t budget)
+{
+    Wave head;
+    head.table = w.table;
+    head.tenant = w.tenant;
+    std::vector<WaveItem> tail;
+    uint64_t off = 0;
+    for (WaveItem& it : w.items) {
+        if (off >= budget) {
+            tail.push_back(it);
+        } else if (off + it.elements <= budget) {
+            head.items.push_back(it);
+        } else {
+            uint64_t take = budget - off;
+            // The `last` flag follows the request's tail: it stays on
+            // the remainder, never the split-off head.
+            head.items.push_back({it.requestId, it.input, it.output,
+                                  take, it.arrivalSeconds, false});
+            tail.push_back({it.requestId, it.input + take,
+                            it.output + take, it.elements - take,
+                            it.arrivalSeconds, it.last});
+        }
+        off += it.elements;
+    }
+    w.items = std::move(tail);
+    return head;
+}
+
+/**
+ * Predicted double-buffered makespan of one popped wave run as @p k
+ * equal sub-waves over @p healthy cores of @p cap element slices: a
+ * mirror of the reservation sequence the drive loop issues (scatter
+ * 0; then compute i, scatter i+1, gather i), against the same serial
+ * transfer model and per-slice compute envelope. Only the *ranking*
+ * across k matters — common shifts (the table broadcast, lanes still
+ * busy from earlier waves) move every candidate equally.
+ */
+double
+predictSplitMakespan(uint64_t elems, uint32_t k, uint32_t healthy,
+                     uint32_t cap, const WaveCost& cost,
+                     PimSystem& sys, double freq)
+{
+    std::vector<uint64_t> part(k);
+    uint64_t base = elems / k, rem = elems % k;
+    for (uint32_t i = 0; i < k; ++i)
+        part[i] = base + (i < rem ? 1 : 0);
+
+    auto xferSeconds = [&](uint64_t e) {
+        return sys.serialTransferSeconds(e * sizeof(float));
+    };
+    auto computeSeconds = [&](uint64_t e) {
+        uint64_t perSlice =
+            std::min<uint64_t>(cap, (e + healthy - 1) / healthy);
+        return freq > 0.0 ? static_cast<double>(
+                                cost.sliceCycles(perSlice)) /
+                                freq
+                          : 0.0;
+    };
+
+    double host = 0.0, dpuFree = 0.0;
+    double computeByParity[2] = {0.0, 0.0};
+    double gatherByParity[2] = {0.0, 0.0};
+    std::vector<double> scatterEnd(k, 0.0);
+    host = std::max(computeByParity[0], host) + xferSeconds(part[0]);
+    scatterEnd[0] = host;
+    double makespan = host;
+    for (uint32_t i = 0; i < k; ++i) {
+        uint32_t parity = i % 2;
+        double ready =
+            std::max(scatterEnd[i], gatherByParity[parity]);
+        dpuFree = std::max(ready, dpuFree) + computeSeconds(part[i]);
+        computeByParity[parity] = dpuFree;
+        if (i + 1 < k) {
+            double sStart =
+                std::max(computeByParity[(i + 1) % 2], host);
+            host = sStart + xferSeconds(part[i + 1]);
+            scatterEnd[i + 1] = host;
+        }
+        host = std::max(dpuFree, host) + xferSeconds(part[i]);
+        gatherByParity[parity] = host;
+        makespan = std::max(makespan, host);
+    }
+    return makespan;
+}
+
+} // namespace
 
 ServePipeline::ServePipeline(PimSystem& system, TableProvider provider,
                              const PipelineOptions& options)
@@ -42,18 +201,8 @@ ServePipeline::ServePipeline(PimSystem& system, TableProvider provider,
 ServeReport
 ServePipeline::run(BatchQueue& queue)
 {
-    // Fleet dispatch (kill switch): with a valid topology matching
-    // the system's DPU count, the FleetScheduler drives the run over
-    // per-rank lanes. A null (or mismatched) topology keeps the flat
-    // single-system path below byte-for-byte.
-    if (opts_.topology && opts_.topology->valid() &&
-        opts_.topology->numDpus() == sys_.numDpus()) {
-        FleetScheduler fleet(sys_, cache_, opts_);
-        return fleet.run(queue);
-    }
-
-    // Auto-tuner (kill switch): give the tuner this run's cache so
-    // MRAM-budget arbitration can evict and re-broadcast tables.
+    // Auto-tuner (kill switch): give the tuner this pipeline's cache
+    // so MRAM-budget arbitration can evict and re-broadcast tables.
     if (opts_.autoTuner)
         opts_.autoTuner->bindCache(&cache_);
 
@@ -65,37 +214,63 @@ ServePipeline::run(BatchQueue& queue)
     }
     const uint32_t cap = std::max<uint32_t>(opts_.perDpuElements, 1);
     const double freq = sys_.model().frequencyHz;
+    // A flat system is a one-rank fleet: without a valid topology
+    // describing exactly this system, all n DPUs form one rank.
+    const Topology topo = opts_.topology && opts_.topology->valid() &&
+                                  opts_.topology->numDpus() == n
+                              ? *opts_.topology
+                              : Topology{1, 1, n};
+    const uint32_t ranks = topo.numRanks();
+    // Residency is re-armed per run: every run re-broadcasts the
+    // tables it uses, once per holding rank.
+    cache_.setRankCount(ranks);
 
     obs::TraceSpan runSpan(
         "serve run", "serve",
         obs::argsObject(
             {obs::argKv("dpus", static_cast<uint64_t>(n)),
+             obs::argKv("ranks", static_cast<uint64_t>(ranks)),
              obs::argKv("per_dpu_elements",
                         static_cast<uint64_t>(cap))}));
     obs::Registry& reg = obs::Registry::global();
     obs::Tracer& tracer = obs::Tracer::global();
 
     // Double-buffered per-DPU MRAM: two input and two output buffers
-    // of `cap` floats each (parity = wave index mod 2).
-    const uint32_t bufBytes = cap * static_cast<uint32_t>(sizeof(float));
-    std::vector<std::array<uint32_t, 2>> inAddr(n), outAddr(n);
-    for (uint32_t d = 0; d < n; ++d)
-        for (uint32_t p = 0; p < 2; ++p) {
-            inAddr[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
-            outAddr[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
-        }
+    // of `cap` floats each, allocated by the first run and reused by
+    // every later one.
+    if (inAddr_.empty()) {
+        const uint32_t bufBytes =
+            cap * static_cast<uint32_t>(sizeof(float));
+        std::vector<std::array<uint32_t, 2>> in(n), out(n);
+        for (uint32_t d = 0; d < n; ++d)
+            for (uint32_t p = 0; p < 2; ++p) {
+                in[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
+                out[d][p] = sys_.dpu(d).mramAlloc(bufBytes);
+            }
+        inAddr_ = std::move(in);
+        outAddr_ = std::move(out);
+    }
 
     PipelineTimeline timeline(n);
-    // Buffer-reuse fences: a parity's input buffers are free once the
-    // compute that read them ended; its output buffers once the
-    // gather that drained them ended.
-    double computeEndByParity[2] = {0.0, 0.0};
-    double gatherEndByParity[2] = {0.0, 0.0};
-    // Synchronous mode chains every leg on the previous one.
+    timeline.configureRanks(ranks, topo.dpusPerRank, topo.channelMap());
+
+    // Per-rank buffer-reuse fences (parity = per-rank wave count mod
+    // 2): ranks use disjoint DPUs, so the fences are independent.
+    std::vector<std::array<double, 2>> computeEndByParity(
+        ranks, {0.0, 0.0});
+    std::vector<std::array<double, 2>> gatherEndByParity(
+        ranks, {0.0, 0.0});
+    std::vector<uint64_t> rankWaves(ranks, 0); ///< parity source
+    // Synchronous mode chains every leg on the previous one, across
+    // all ranks — the baseline has no overlap to measure.
     double chain = 0.0;
     std::deque<PendingWave> retries;
     bool outOfCores = false;
     uint64_t waveSeq = 0; ///< execution-order wave numbering
+
+    report.rankStats.resize(ranks);
+    for (uint32_t r = 0; r < ranks; ++r)
+        report.rankStats[r].rank = r;
 
     // ---- Request-span bookkeeping (journal / flow events) ----
     // All of it runs on this (consumer) thread against modeled times
@@ -133,7 +308,8 @@ ServePipeline::run(BatchQueue& queue)
 
     auto jev = [&](const char* kind, double t, double dur,
                    uint64_t request, uint64_t wave, uint64_t elements,
-                   uint64_t cycles, const std::string& table,
+                   uint64_t cycles, int32_t rank,
+                   const std::string& table,
                    const std::string& note = {}) {
         if (!journal)
             return;
@@ -145,6 +321,7 @@ ServePipeline::run(BatchQueue& queue)
         ev.wave = wave;
         ev.elements = elements;
         ev.cycles = cycles;
+        ev.rank = rank;
         ev.table = table;
         ev.note = note;
         journal->record(ev);
@@ -157,7 +334,30 @@ ServePipeline::run(BatchQueue& queue)
             report.failedDpus.push_back(d);
     };
 
-    /** Next wave to execute: pending retries first, then the queue. */
+    /** Healthy DPUs of one rank, ascending. */
+    auto healthyOfRank = [&](uint32_t r) {
+        std::vector<uint32_t> out;
+        const uint32_t lo = topo.firstDpuOfRank(r);
+        const uint32_t hi = std::min(n, lo + topo.dpusPerRank);
+        for (uint32_t d = lo; d < hi; ++d)
+            if (!sys_.isMasked(d))
+                out.push_back(d);
+        return out;
+    };
+
+    /** Largest healthy-DPU count of any rank (wave pop budget). */
+    auto maxHealthyPerRank = [&]() {
+        uint32_t best = 0;
+        for (uint32_t r = 0; r < ranks; ++r)
+            best = std::max(
+                best,
+                static_cast<uint32_t>(healthyOfRank(r).size()));
+        return best;
+    };
+
+    /** Next wave to execute: pending retries first, then the queue.
+     * Waves are sized for one rank — the placement step later picks
+     * which. */
     auto nextWave = [&]() -> std::optional<PendingWave> {
         for (;;) {
             if (!retries.empty()) {
@@ -165,7 +365,7 @@ ServePipeline::run(BatchQueue& queue)
                 retries.pop_front();
                 return pw;
             }
-            uint32_t healthy = sys_.healthyDpus();
+            uint32_t healthy = maxHealthyPerRank();
             if (healthy == 0) {
                 outOfCores = true;
                 return std::nullopt;
@@ -191,24 +391,25 @@ ServePipeline::run(BatchQueue& queue)
             // table they were issued with.
             std::string tuneNote;
             if (opts_.autoTuner) {
-                AutoTuner::Routing r =
+                AutoTuner::Routing tr =
                     opts_.autoTuner->route(w->table, w->tenant);
                 // `switched` only marks the first wave after a route
                 // change (it drives the `tune` journal event); every
                 // wave runs whatever table route() picked.
-                if (r.table.hash != w->table.hash &&
+                if (tr.table.hash != w->table.hash &&
                     reg.enabled())
                     reg.counter("tuner/rerouted_waves").add(1);
-                w->table = r.table;
-                if (r.switched)
-                    tuneNote = std::move(r.note);
+                w->table = tr.table;
+                if (tr.switched)
+                    tuneNote = std::move(tr.note);
             }
 
             // Cost-aware wave sizing: with a certified compute
             // envelope for this table, rank the candidate sub-wave
-            // splits on the predicted double-buffered makespan and
-            // issue the fastest shape. Splits land at the front of
-            // the retry deque (generation 0) so they pop in order.
+            // splits on the predicted double-buffered makespan of
+            // one rank and issue the fastest shape. Splits land at
+            // the front of the retry deque (generation 0) so they
+            // pop in order.
             if (opts_.costBook && opts_.pipelined) {
                 const WaveCost* wc = opts_.costBook->find(w->table);
                 uint64_t waveElems = w->elements();
@@ -239,10 +440,9 @@ ServePipeline::run(BatchQueue& queue)
                         for (auto it = pieces.rbegin();
                              it != pieces.rend(); ++it)
                             retries.push_front(
-                                PendingWave{std::move(*it), 0});
-                        // Retries was empty (we only reach the queue
-                        // pop then), so the first split piece is at
-                        // the front; the tune note rides on it.
+                                PendingWave{std::move(*it), 0, {}});
+                        // Retries was empty here; the tune note
+                        // rides on the first split piece.
                         retries.front().tuneNote =
                             std::move(tuneNote);
                         if (reg.enabled())
@@ -252,24 +452,86 @@ ServePipeline::run(BatchQueue& queue)
                     }
                 }
             }
-            PendingWave pw{std::move(*w), 0};
-            pw.tuneNote = std::move(tuneNote);
-            return pw;
+            return PendingWave{std::move(*w), 0, std::move(tuneNote)};
         }
     };
 
-    /** Resolve the binding and reserve scatter (+ table broadcast on
-     * a miss). Returns false when the wave cannot run at all. */
-    auto beginWave = [&](PendingWave&& pw,
+    /**
+     * Placement: pick the rank a wave of @p key runs on.
+     *   1. Only ranks with a healthy DPU are candidates (none ->
+     *      nullopt, the fleet is out of cores).
+     *   2. A known valid table prefers the least-busy rank already
+     *      holding it — unless the least-busy rank overall is ahead
+     *      by more than one single-rank broadcast, in which case the
+     *      table replicates there (the broadcast pays for itself).
+     *   3. A table with no holder (or unknown/infeasible) goes to
+     *      the candidate with the fewest resident tables, ties
+     *      broken by load then rank id — first sightings spread.
+     * Busy-ness is the rank's modeled makespan so far; everything
+     * here is a pure function of modeled state (deterministic).
+     */
+    auto placeRank =
+        [&](const TableKey& key) -> std::optional<uint32_t> {
+        std::optional<uint32_t> bestAll;
+        double bestAllBusy = 0.0;
+        std::optional<uint32_t> bestRes;
+        double bestResBusy = 0.0;
+        std::optional<uint32_t> bestFresh;
+        size_t bestFreshRes = 0;
+        double bestFreshBusy = 0.0;
+        const TableBinding* binding = cache_.peek(key);
+        const bool known = binding && binding->valid;
+        for (uint32_t r = 0; r < ranks; ++r) {
+            if (healthyOfRank(r).empty())
+                continue;
+            double busy = timeline.rankMakespan(r);
+            if (!bestAll || busy < bestAllBusy) {
+                bestAll = r;
+                bestAllBusy = busy;
+            }
+            if (known && cache_.residentOnRank(key, r)) {
+                if (!bestRes || busy < bestResBusy) {
+                    bestRes = r;
+                    bestResBusy = busy;
+                }
+            } else {
+                size_t res = cache_.residency(r);
+                if (!bestFresh || res < bestFreshRes ||
+                    (res == bestFreshRes && busy < bestFreshBusy)) {
+                    bestFresh = r;
+                    bestFreshRes = res;
+                    bestFreshBusy = busy;
+                }
+            }
+        }
+        if (!bestAll)
+            return std::nullopt;
+        if (!known)
+            return bestAll;
+        if (!bestRes)
+            return bestFresh ? bestFresh : bestAll;
+        double bcast =
+            sys_.rankParallelTransferSeconds(binding->tableBytes,
+                                             topo.dpusPerRank);
+        if (bestResBusy - bestAllBusy > bcast)
+            return bestAll; // replicate: the broadcast pays off
+        return bestRes;
+    };
+
+    /** Resolve the binding on @p rank and reserve scatter (+ one
+     * single-rank table broadcast when the rank does not hold the
+     * table yet). Returns false when the wave cannot run at all. */
+    auto beginWave = [&](uint32_t rank, PendingWave&& pw,
                          WaveExec& ex) -> bool {
         std::string tuneNote = std::move(pw.tuneNote);
         ex.wave = std::move(pw.wave);
         ex.generation = pw.generation;
-        ex.parity = static_cast<uint32_t>(wavesExecuted_ % 2);
+        ex.parity = static_cast<uint32_t>(rankWaves[rank] % 2);
 
-        TableCache::Lookup found = cache_.lookup(ex.wave.table);
+        TableCache::RankLookup found =
+            cache_.lookupOnRank(ex.wave.table, rank);
         ex.binding = found.binding;
-        ex.stats.tableMiss = found.miss;
+        ex.stats.tableMiss = found.rankMiss;
         uint64_t waveElems = ex.wave.elements();
         if (!ex.binding || !ex.binding->valid) {
             report.infeasibleElements += waveElems;
@@ -281,32 +543,31 @@ ServePipeline::run(BatchQueue& queue)
                         acc.sawLast = acc.sawLast || r.last;
                     }
                     jev("drop", chain, 0.0, r.id,
-                        obs::JournalEvent::kNoWave, r.elements, 0,
+                        obs::JournalEvent::kNoWave, r.elements, 0, rank,
                         ex.wave.table.label, "no valid table binding");
                 }
             return false;
         }
         PipelineEvent bcastEv{};
-        if (found.miss && ex.binding->tableBytes > 0) {
+        if (found.rankMiss && ex.binding->tableBytes > 0) {
             PipelineEvent ev = sys_.broadcastAsync(
                 timeline, opts_.pipelined ? 0.0 : chain,
-                ex.binding->tableBytes);
+                ex.binding->tableBytes, rank);
             ex.stats.broadcastSeconds = ev.seconds();
             bcastEv = ev;
             chain = ev.end;
+            ++report.rankStats[rank].broadcasts;
         }
 
-        // Slice across the currently healthy cores. If cores died
-        // since the wave was sized, the tail that no longer fits is
-        // split off and re-queued ahead of everything else.
-        std::vector<uint32_t> healthy;
-        for (uint32_t d = 0; d < n; ++d)
-            if (!sys_.isMasked(d))
-                healthy.push_back(d);
+        // Slice across the rank's currently healthy cores. If cores
+        // died since the wave was sized, the tail that no longer
+        // fits is split off and re-queued ahead of everything else.
+        std::vector<uint32_t> healthy = healthyOfRank(rank);
         if (healthy.empty()) {
-            outOfCores = true;
             retries.push_front(
-                PendingWave{std::move(ex.wave), ex.generation});
+                PendingWave{std::move(ex.wave), ex.generation, {}});
+            if (maxHealthyPerRank() == 0)
+                outOfCores = true;
             return false;
         }
         uint64_t budget =
@@ -314,7 +575,7 @@ ServePipeline::run(BatchQueue& queue)
         if (waveElems > budget) {
             Wave head = takeWaveHead(ex.wave, budget);
             retries.push_front(
-                PendingWave{std::move(ex.wave), ex.generation});
+                PendingWave{std::move(ex.wave), ex.generation, {}});
             ex.wave = std::move(head);
             waveElems = ex.wave.elements();
         }
@@ -333,7 +594,8 @@ ServePipeline::run(BatchQueue& queue)
         }
 
         const uint64_t per = std::min<uint64_t>(
-            cap, (waveElems + healthy.size() - 1) / healthy.size());
+            cap,
+            (waveElems + healthy.size() - 1) / healthy.size());
         std::vector<ScatterSlice> scatter;
         uint64_t first = 0;
         for (uint32_t d : healthy) {
@@ -343,8 +605,8 @@ ServePipeline::run(BatchQueue& queue)
                 std::min<uint64_t>(per, waveElems - first));
             ShardTask t;
             t.dpu = d;
-            t.inAddr = inAddr[d][ex.parity];
-            t.outAddr = outAddr[d][ex.parity];
+            t.inAddr = inAddr_[d][ex.parity];
+            t.outAddr = outAddr_[d][ex.parity];
             t.firstElement = first;
             t.elements = count;
             ex.slices.push_back(t);
@@ -356,22 +618,25 @@ ServePipeline::run(BatchQueue& queue)
         ex.stats.elements = waveElems;
         ex.stats.slices = static_cast<uint32_t>(ex.slices.size());
 
-        double readyAt = opts_.pipelined
-                             ? computeEndByParity[ex.parity]
-                             : chain;
-        ex.scatterEv = sys_.scatterAsync(timeline, readyAt, scatter);
+        double readyAt =
+            opts_.pipelined ? computeEndByParity[rank][ex.parity]
+                            : chain;
+        ex.scatterEv =
+            sys_.scatterAsync(timeline, readyAt, scatter, rank);
         chain = ex.scatterEv.end;
         ex.stats.scatterSeconds = ex.scatterEv.seconds();
         ex.waveIndex = waveSeq++;
 
         // Tuner redirect: stamp the decision on the wave it first
-        // applies to, at scatter start, tagged with the tenant.
+        // applies to, at scatter start, tagged with the tenant and
+        // the executing rank.
         if (journal && !tuneNote.empty()) {
             obs::JournalEvent ev;
             ev.kind = "tune";
             ev.t = ex.scatterEv.start;
             ev.wave = ex.waveIndex;
             ev.elements = ex.stats.elements;
+            ev.rank = rank;
             ev.tenant = ex.wave.tenant;
             ev.table = ex.wave.table.label;
             ev.note = tuneNote;
@@ -403,28 +668,33 @@ ServePipeline::run(BatchQueue& queue)
                         tracer.flowStep(flowName, "serve", r.id);
                 }
                 jev("coalesce", ex.scatterEv.start, 0.0, r.id,
-                    ex.waveIndex, r.elements, 0, ex.wave.table.label);
+                    ex.waveIndex, r.elements, 0, rank,
+                    ex.wave.table.label);
                 jev("scatter", ex.scatterEv.start,
                     ex.scatterEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, 0, ex.wave.table.label);
+                    r.elements, 0, rank,
+                    ex.wave.table.label);
             }
             if (ex.stats.tableMiss && ex.stats.broadcastSeconds > 0.0)
                 jev("broadcast", bcastEv.start, bcastEv.seconds(), 0,
-                    ex.waveIndex, 0, 0, ex.wave.table.label);
+                    ex.waveIndex, 0, 0, rank,
+                    ex.wave.table.label);
         }
-        ++wavesExecuted_;
+        ++rankWaves[rank];
+        report.rankStats[rank].waves += 1;
+        report.rankStats[rank].elements += waveElems;
         return true;
     };
 
-    /** Launch the wave's kernels (per-DPU lanes). */
-    auto computeWave = [&](WaveExec& ex) {
+    /** Launch the wave's kernels (the rank's DPU lanes). */
+    auto computeWave = [&](uint32_t rank, WaveExec& ex) {
         std::vector<int> sliceOfDpu(n, -1);
         for (size_t s = 0; s < ex.slices.size(); ++s)
             sliceOfDpu[ex.slices[s].dpu] = static_cast<int>(s);
         double readyAt =
             opts_.pipelined
                 ? std::max(ex.scatterEv.end,
-                           gatherEndByParity[ex.parity])
+                           gatherEndByParity[rank][ex.parity])
                 : chain;
         ex.computeEv = sys_.launchAsync(
             timeline, readyAt, opts_.numTasklets,
@@ -435,18 +705,19 @@ ServePipeline::run(BatchQueue& queue)
                 return ex.binding->makeKernel(ex.slices[s]);
             });
         chain = ex.computeEv.end;
-        computeEndByParity[ex.parity] = ex.computeEv.end;
+        computeEndByParity[rank][ex.parity] = ex.computeEv.end;
         ex.stats.maxCycles = sys_.lastMaxCycles();
         ex.stats.computeSeconds =
             freq > 0.0
                 ? static_cast<double>(ex.stats.maxCycles) / freq
                 : 0.0;
         report.computeCycles += ex.stats.maxCycles;
+        report.rankStats[rank].computeCycles += ex.stats.maxCycles;
 
         // Straggler detection: a pure function of the per-DPU cycle
-        // counts the sequential failure sweep recorded, so it is
-        // deterministic at any thread count and costs nothing on the
-        // modeled schedule.
+        // counts of the wave's own slices, which the sequential
+        // failure sweep recorded, so it is deterministic at any
+        // thread count and costs nothing on the modeled schedule.
         const std::vector<uint64_t>& perDpu = sys_.lastLaunchCycles();
         std::vector<uint64_t> sliceCycles;
         sliceCycles.reserve(ex.slices.size());
@@ -479,7 +750,7 @@ ServePipeline::run(BatchQueue& queue)
                 jev("anomaly", ex.computeEv.start,
                     ex.computeEv.seconds(), 0, ex.waveIndex,
                     ex.stats.elements, sliceCycles.back(),
-                    ex.wave.table.label,
+                    rank, ex.wave.table.label,
                     "max " + std::to_string(sliceCycles.back()) +
                         " cycles vs median " +
                         std::to_string(ex.stats.medianCycles) +
@@ -495,13 +766,14 @@ ServePipeline::run(BatchQueue& queue)
                 acc.computeSeconds += ex.computeEv.seconds();
                 jev("compute", ex.computeEv.start,
                     ex.computeEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, ex.stats.maxCycles,
+                    r.elements, ex.stats.maxCycles, rank,
                     ex.wave.table.label);
             }
     };
 
-    /** Gather, distribute outputs, and re-queue failed slices. */
-    auto finishWave = [&](WaveExec& ex) {
+    /** Gather, distribute outputs, and re-queue failed slices (the
+     * retry wave is free to land on any healthy rank). */
+    auto finishWave = [&](uint32_t rank, WaveExec& ex) {
         uint64_t waveElems = ex.stats.elements;
         std::vector<float> stagingOut(waveElems);
         std::vector<GatherSlice> gather;
@@ -514,9 +786,9 @@ ServePipeline::run(BatchQueue& queue)
         double readyAt =
             opts_.pipelined ? ex.computeEv.end : chain;
         PipelineEvent gatherEv =
-            sys_.gatherAsync(timeline, readyAt, gather);
+            sys_.gatherAsync(timeline, readyAt, gather, rank);
         chain = gatherEv.end;
-        gatherEndByParity[ex.parity] = gatherEv.end;
+        gatherEndByParity[rank][ex.parity] = gatherEv.end;
         ex.stats.gatherSeconds = gatherEv.seconds();
 
         // Distribute healthy slice ranges to the item outputs; turn
@@ -587,7 +859,7 @@ ServePipeline::run(BatchQueue& queue)
                 ReqAcc& acc = accFor(r, ex.wave.table);
                 acc.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
-                    r.id, ex.waveIndex, r.elements, 0,
+                    r.id, ex.waveIndex, r.elements, 0, rank,
                     ex.wave.table.label);
                 auto g = gatheredByReq.find(r.id);
                 if (g != gatheredByReq.end())
@@ -597,8 +869,9 @@ ServePipeline::run(BatchQueue& queue)
                     acc.elementsDone == acc.elementsTotal) {
                     acc.complete = true;
                     acc.completed = gatherEv.end;
-                    jev("done", gatherEv.end, 0.0, r.id, ex.waveIndex,
-                        acc.elementsTotal, 0, ex.wave.table.label);
+                    jev("done", gatherEv.end, 0.0, r.id,
+                        ex.waveIndex, acc.elementsTotal, 0, rank,
+                        ex.wave.table.label);
                     if (tracer.enabled())
                         tracer.flowEnd("req " + std::to_string(r.id),
                                        "serve", r.id);
@@ -611,7 +884,7 @@ ServePipeline::run(BatchQueue& queue)
                 if (trackReqs)
                     for (const WaveReq& r : collectWaveReqs(retry))
                         jev("drop", gatherEv.end, 0.0, r.id,
-                            ex.waveIndex, r.elements, 0,
+                            ex.waveIndex, r.elements, 0, rank,
                             retry.table.label,
                             "retry budget exhausted");
                 if (reg.enabled())
@@ -619,8 +892,8 @@ ServePipeline::run(BatchQueue& queue)
                         .add(retryElems);
             } else {
                 report.reshardedElements += retryElems;
-                retries.push_back(PendingWave{std::move(retry),
-                                              ex.generation + 1});
+                retries.push_back(PendingWave{
+                    std::move(retry), ex.generation + 1, {}});
                 if (reg.enabled()) {
                     reg.counter("serve/retry/waves").add(1);
                     reg.counter("serve/retry/elements")
@@ -652,40 +925,62 @@ ServePipeline::run(BatchQueue& queue)
         report.waveStats.push_back(ex.stats);
     };
 
-    // The two-deep software pipeline: scatter of the next wave is
-    // issued between the current wave's launch and gather, so the
-    // host lane interleaves ... scatter(k+1), gather(k) ... while
-    // the DPU lanes run compute(k).
-    auto takeRunnable = [&]() -> std::optional<WaveExec> {
-        for (;;) {
-            auto pw = nextWave();
-            if (!pw)
-                return std::nullopt;
-            WaveExec ex;
-            if (beginWave(std::move(*pw), ex))
-                return ex;
-            // Infeasible or un-sliceable wave: try the next one
-            // (outOfCores aborts via nextWave on the next spin).
-            if (outOfCores)
-                return std::nullopt;
-        }
+    // Drive loop: one in-flight wave per rank. Beginning a second
+    // wave on a rank first finishes the rank's previous wave, so the
+    // rank lane interleaves ... scatter(k+1), gather(k) ... while
+    // the rank's DPU lanes run compute(k): the two-deep per-rank
+    // software pipeline.
+    std::vector<std::optional<WaveExec>> inflight(ranks);
+    /** Finish every rank's in-flight wave; @return whether any was. */
+    auto drainInflight = [&]() {
+        bool drained = false;
+        for (uint32_t r = 0; r < ranks; ++r)
+            if (inflight[r]) {
+                finishWave(r, *inflight[r]);
+                inflight[r].reset();
+                drained = true;
+            }
+        return drained;
     };
-
-    std::optional<WaveExec> cur = takeRunnable();
-    while (cur) {
+    for (;;) {
+        auto pw = nextWave();
+        if (!pw) {
+            // Stream exhausted *for now*: finishing the in-flight
+            // waves may re-queue retry waves (a failed DPU's slices
+            // re-shard), so drain and re-check before concluding the
+            // run is over.
+            if (drainInflight())
+                continue;
+            break;
+        }
+        auto rank = placeRank(pw->wave.table);
+        if (!rank) {
+            outOfCores = true;
+            retries.push_front(std::move(*pw));
+            break;
+        }
         obs::TraceSpan waveSpan(
-            "wave " + std::to_string(report.waveStats.size()),
-            "serve",
-            obs::argKv("elements", cur->stats.elements));
-        computeWave(*cur);
-        std::optional<WaveExec> next;
-        if (opts_.pipelined)
-            next = takeRunnable();
-        finishWave(*cur);
-        if (!opts_.pipelined)
-            next = takeRunnable();
-        cur = std::move(next);
+            "wave " + std::to_string(waveSeq), "serve",
+            obs::argKv("rank", static_cast<uint64_t>(*rank)));
+        WaveExec ex;
+        if (!beginWave(*rank, std::move(*pw), ex)) {
+            if (outOfCores)
+                break;
+            continue; // infeasible wave: try the next one
+        }
+        if (opts_.pipelined) {
+            if (inflight[*rank]) {
+                finishWave(*rank, *inflight[*rank]);
+                inflight[*rank].reset();
+            }
+            computeWave(*rank, ex);
+            inflight[*rank] = std::move(ex);
+        } else {
+            computeWave(*rank, ex);
+            finishWave(*rank, ex);
+        }
     }
+    drainInflight();
 
     // Anything still pending when we ran out of cores is dropped.
     const double drainT = timeline.makespan();
@@ -699,7 +994,7 @@ ServePipeline::run(BatchQueue& queue)
                     acc.sawLast = acc.sawLast || r.last;
                 }
                 jev("drop", drainT, 0.0, r.id,
-                    obs::JournalEvent::kNoWave, r.elements, 0,
+                    obs::JournalEvent::kNoWave, r.elements, 0, -1,
                     pw.wave.table.label, "out of cores");
             }
     }
@@ -709,6 +1004,10 @@ ServePipeline::run(BatchQueue& queue)
     report.cacheHits = cache_.hits();
     report.cacheMisses = cache_.misses();
     report.modeledSeconds = timeline.makespan();
+    for (uint32_t r = 0; r < ranks; ++r) {
+        report.rankStats[r].makespanSeconds = timeline.rankMakespan(r);
+        report.rankStats[r].residentTables = cache_.residency(r);
+    }
     report.complete = !outOfCores && report.droppedElements == 0 &&
                       report.infeasibleElements == 0 &&
                       queue.closed() && queue.depth() == 0;

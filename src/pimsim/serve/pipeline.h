@@ -4,18 +4,36 @@
  *
  * Pops waves off a BatchQueue and drives them through scatter ->
  * launch -> gather on a PimSystem, with every wave's modeled cost
- * reserved on a PipelineTimeline instead of summed sequentially: the
- * host-interface lane streams the scatter of wave N+1 and the gather
- * of wave N-1 while the DPU lanes compute wave N. Per-DPU MRAM
- * buffers are double-buffered (parity = wave index mod 2), so a
+ * reserved on a PipelineTimeline instead of summed sequentially.
+ *
+ * The system is a fleet of ranks (pimsim/topology.h): the one given
+ * by PipelineOptions::topology, or else a single rank of all its
+ * DPUs, Topology{1, 1, N} — on UPMEM a rank is the unit of parallel
+ * host transfer, so a flat system is a one-rank topology. Each wave
+ * executes on exactly one rank: its scatter/gather ride that rank's
+ * transfer lane (lanes of ranks on distinct memory channels overlap;
+ * the ranks of one DIMM serialize on their shared channel), and its
+ * compute rides the rank's own DPU lanes. Per rank, the transfer
+ * lane streams the scatter of wave N+1 and the gather of wave N-1
+ * while the DPU lanes compute wave N. Per-DPU MRAM buffers are
+ * double-buffered (parity = the rank's wave count mod 2), so a
  * wave's scatter only waits for the compute two waves back that last
  * read its buffer — the classic ping-pong schedule of the UPMEM
- * async API.
+ * async API. The makespan is the max over ranks of each rank's
+ * timeline.
+ *
+ * Placement balances hot tables through per-rank TableCache
+ * residency: a wave prefers the least-busy rank already holding its
+ * table, spreads first sightings onto the least-loaded rank, and
+ * replicates a table to a fresh rank when the backlog gap on the
+ * holding ranks exceeds the cost of one single-rank broadcast. A
+ * table is broadcast once per holding rank — never once per DPU —
+ * and residency is re-armed by every run().
  *
  * Degradation composes with pimfault: a DPU masked mid-pipeline
  * (dead transfer leg, hard launch failure, fenced straggler) fails
  * exactly the slices it owned; those elements are re-queued as a
- * retry wave over the surviving cores, bounded by
+ * retry wave that placement may move to any healthy rank, bounded by
  * PipelineOptions::maxRetryWaves — the pipeline degrades or reports
  * incomplete, it never deadlocks.
  *
@@ -28,6 +46,7 @@
 #ifndef TPL_PIMSIM_SERVE_PIPELINE_H
 #define TPL_PIMSIM_SERVE_PIPELINE_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -51,8 +70,10 @@ struct PipelineOptions
 
     /**
      * Element capacity of one per-DPU wave slice; a wave batches at
-     * most perDpuElements * healthyDpus elements. Each DPU holds two
-     * input and two output MRAM buffers of this many floats.
+     * most perDpuElements times the healthy DPUs of one rank. Each
+     * DPU holds two input and two output MRAM buffers of this many
+     * floats, allocated by the pipeline's first run() and reused by
+     * every later one.
      */
     uint32_t perDpuElements = 512;
 
@@ -93,25 +114,22 @@ struct PipelineOptions
     obs::Journal* journal = nullptr;
 
     /**
-     * Fleet topology (kill switch: nullptr, the default, keeps
-     * today's flat single-system schedule bit-for-bit at any thread
-     * count). When set, valid, and describing exactly the system's
-     * DPU count, run() dispatches to the FleetScheduler (see
-     * serve/fleet.h): waves are placed per rank, transfers ride
-     * per-rank lanes that overlap across memory channels, tables are
-     * broadcast once per holding rank, and ServeReport::rankStats is
-     * filled. A topology whose numDpus() does not match the system
-     * falls back to the flat path. The caller keeps the object alive
-     * for the pipeline's lifetime.
+     * Fleet topology the waves are placed on. nullptr (the default),
+     * an invalid topology, or one whose numDpus() does not match the
+     * system all mean Topology{1, 1, numDpus()}: the whole system is
+     * one rank. With several ranks, waves are placed per rank,
+     * transfers ride per-rank lanes that overlap across memory
+     * channels, and tables are broadcast once per holding rank. The
+     * caller keeps the object alive for the pipeline's lifetime.
      */
     const Topology* topology = nullptr;
 
     /**
      * Online per-tenant auto-tuner (kill switch: nullptr, the
      * default, keeps the untuned path bit-identical — including
-     * journal bytes — at any TPL_SIM_THREADS, like costBook and
-     * topology before it; locked by test). When set, both serve
-     * drivers route every generation-0 wave through
+     * journal bytes — at any TPL_SIM_THREADS, like costBook before
+     * it; locked by test). When set, the pipeline routes every
+     * generation-0 wave through
      * AutoTuner::route() — which may rewrite the wave's table to a
      * cheaper configuration meeting the owning tenant's SLA — and
      * feed AutoTuner::observe() each wave's exact gathered outputs
@@ -154,8 +172,8 @@ struct WaveStats
     uint32_t stragglerDpus = 0;
 };
 
-/** Per-rank slice of a fleet run (ServeReport::rankStats; filled
- * only on the topology path). */
+/** Per-rank slice of a run (ServeReport::rankStats; one row per rank
+ * of the topology, a single row without one). */
 struct RankStats
 {
     uint32_t rank = 0;
@@ -163,7 +181,7 @@ struct RankStats
     uint64_t elements = 0; ///< elements those waves carried
     uint64_t computeCycles = 0; ///< sum of per-wave max cycles
     /** Latest completion on the rank's lanes (transfer + DPU);
-     * the fleet makespan is the max of these. */
+     * the run's makespan is the max of these. */
     double makespanSeconds = 0.0;
     uint64_t residentTables = 0; ///< distinct tables held at run end
     uint64_t broadcasts = 0; ///< single-rank table broadcasts paid
@@ -189,8 +207,7 @@ struct ServeReport
      * PipelineOptions::stragglerFactor). */
     uint64_t anomalousWaves = 0;
     std::vector<WaveStats> waveStats;
-    /** Per-rank accounting; empty on the flat (topology == nullptr)
-     * path. */
+    /** Per-rank accounting, one row per rank. */
     std::vector<RankStats> rankStats;
 
     /** Fraction of the synchronous schedule hidden by overlap. */
@@ -242,7 +259,10 @@ class ServePipeline
     PimSystem& sys_;
     TableCache cache_;
     PipelineOptions opts_;
-    uint64_t wavesExecuted_ = 0; ///< across runs; parity source
+    /** Per-DPU double-buffer MRAM addresses [dpu][parity]; empty
+     * until the first run() allocates them. */
+    std::vector<std::array<uint32_t, 2>> inAddr_;
+    std::vector<std::array<uint32_t, 2>> outAddr_;
 };
 
 } // namespace serve

@@ -11,28 +11,6 @@ namespace tpl {
 namespace sim {
 namespace serve {
 
-TableCache::Lookup
-TableCache::lookup(const TableKey& key)
-{
-    obs::Registry& reg = obs::Registry::global();
-    auto it = entries_.find(key.hash);
-    if (it != entries_.end()) {
-        ++hits_;
-        if (reg.enabled())
-            reg.counter("serve/lut_cache/hits").add(1);
-        return {it->second.get(), false};
-    }
-    ++misses_;
-    if (reg.enabled())
-        reg.counter("serve/lut_cache/misses").add(1);
-    TableBinding binding =
-        provider_ ? provider_(key, system_) : TableBinding{};
-    auto [pos, inserted] = entries_.emplace(
-        key.hash, std::make_unique<TableBinding>(std::move(binding)));
-    (void)inserted;
-    return {pos->second.get(), true};
-}
-
 void
 TableCache::setRankCount(uint32_t ranks)
 {
@@ -44,19 +22,26 @@ TableCache::setRankCount(uint32_t ranks)
 TableCache::RankLookup
 TableCache::lookupOnRank(const TableKey& key, uint32_t rank)
 {
+    obs::Registry& reg = obs::Registry::global();
     RankLookup out;
     auto it = entries_.find(key.hash);
-    if (it == entries_.end()) {
-        Lookup first = lookup(key); // provider path + hit/miss counters
-        out.binding = first.binding;
-        out.providerMiss = true;
-    } else {
+    if (it != entries_.end()) {
         ++hits_;
-        obs::Registry& reg = obs::Registry::global();
         if (reg.enabled())
             reg.counter("serve/lut_cache/hits").add(1);
-        out.binding = it->second.get();
+    } else {
+        ++misses_;
+        if (reg.enabled())
+            reg.counter("serve/lut_cache/misses").add(1);
+        TableBinding binding =
+            provider_ ? provider_(key, system_) : TableBinding{};
+        it = entries_
+                 .emplace(key.hash, std::make_unique<TableBinding>(
+                                        std::move(binding)))
+                 .first;
+        out.providerMiss = true;
     }
+    out.binding = it->second.get();
     std::vector<bool>& res = resident_[key.hash];
     if (res.size() < rankCount_)
         res.resize(rankCount_, false);
@@ -64,7 +49,6 @@ TableCache::lookupOnRank(const TableKey& key, uint32_t rank)
         res[rank] = true;
         out.rankMiss = true;
         ++rankBroadcasts_;
-        obs::Registry& reg = obs::Registry::global();
         if (reg.enabled())
             reg.counter("serve/lut_cache/rank_broadcasts").add(1);
     }

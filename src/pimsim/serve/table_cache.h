@@ -6,9 +6,10 @@
  * the modeled footprint of the tables the configuration needs on each
  * DPU. The first lookup of a key calls the caller-supplied
  * TableProvider, which generates the tables and stages them onto
- * every core (an evaluator attach); subsequent lookups are hits and
- * let the pipeline skip the modeled MRAM table re-broadcast — the
- * cache is what makes repeated configurations cheap in a mixed
+ * every core (an evaluator attach); subsequent lookups are hits. Per
+ * rank, the cache also tracks which tables are resident, so a rank
+ * that already holds a table skips the modeled MRAM re-broadcast —
+ * the cache is what makes repeated configurations cheap in a mixed
  * request stream.
  *
  * The serve layer is generic over what a "table" is: the provider is
@@ -43,12 +44,10 @@ struct TableBinding
 {
     bool valid = false;
 
-    /** Per-core table footprint in bytes. A cache miss pays one
-     * modeled broadcast of this footprint: the whole-system parallel
-     * rate on the flat path (lookup), or one single-rank parallel
-     * pass per holding rank on the fleet path (lookupOnRank) — a
-     * table is broadcast once per rank that hosts it, never once per
-     * DPU. */
+    /** Per-core table footprint in bytes. A rank that does not hold
+     * the table yet pays one single-rank parallel broadcast of this
+     * footprint (lookupOnRank) — a table is broadcast once per rank
+     * that hosts it, never once per DPU. */
     uint32_t tableBytes = 0;
 
     /** Builds the kernel evaluating one wave slice (reuses the
@@ -77,16 +76,6 @@ class TableCache
     {
     }
 
-    /** Result of a lookup: the binding plus whether the provider had
-     * to be consulted (a miss pays the table broadcast). */
-    struct Lookup
-    {
-        const TableBinding* binding = nullptr;
-        bool miss = false;
-    };
-
-    Lookup lookup(const TableKey& key);
-
     /**
      * Arm per-rank residency tracking for a fleet of @p ranks ranks.
      * Resets any prior residency state; rank 0..ranks-1 become valid
@@ -94,8 +83,8 @@ class TableCache
      */
     void setRankCount(uint32_t ranks);
 
-    /** Result of a fleet-path lookup: the binding, whether the
-     * provider had to generate tables (first sighting fleet-wide),
+    /** Result of a lookup: the binding, whether the provider had to
+     * generate tables (first sighting fleet-wide),
      * and whether this rank still had to receive its broadcast
      * (first sighting on the rank — the caller charges one
      * single-rank broadcast). */
@@ -107,10 +96,10 @@ class TableCache
     };
 
     /**
-     * Fleet-path lookup: resolve @p key (consulting the provider on
-     * first sighting, exactly like lookup) and mark the table
-     * resident on @p rank. rankMiss is set — and one rank broadcast
-     * counted — when a valid binding was not yet resident there.
+     * Resolve @p key (consulting the provider on first sighting; the
+     * binding is cached, valid or not) and mark the table resident
+     * on @p rank. rankMiss is set — and one rank broadcast counted —
+     * when a valid binding was not yet resident there.
      */
     RankLookup lookupOnRank(const TableKey& key, uint32_t rank);
 
@@ -151,7 +140,7 @@ class TableCache
     TableProvider provider_;
     // Bindings live behind stable pointers: evict() retires the
     // entry instead of destroying it, so pointers handed out by
-    // lookup stay valid for the cache's lifetime.
+    // lookupOnRank stay valid for the cache's lifetime.
     std::map<uint64_t, std::unique_ptr<TableBinding>> entries_;
     std::vector<std::unique_ptr<TableBinding>> retired_;
     // Fleet residency: per cached table, which ranks hold it. Sized

@@ -147,16 +147,7 @@ PimSystem::forEachDpu(const std::function<void(uint32_t)>& fn,
 double
 PimSystem::parallelTransferSeconds(uint64_t totalBytes) const
 {
-    // Parallel transfers stream at the per-rank bandwidth, overlapped
-    // across ranks, capped by host memory bandwidth.
-    uint32_t ranks = model_.dpusPerRank
-                         ? std::max(1u, numDpus() / model_.dpusPerRank)
-                         : 1u;
-    double bw = std::min(model_.hostParallelBandwidth * ranks,
-                         model_.hostAggregateBandwidthCap);
-    if (bw <= 0.0)
-        return 0.0;
-    return static_cast<double>(totalBytes) / bw;
+    return rankParallelTransferSeconds(totalBytes, numDpus());
 }
 
 double
@@ -168,11 +159,17 @@ PimSystem::serialTransferSeconds(uint64_t totalBytes) const
 }
 
 double
-PimSystem::rankParallelTransferSeconds(uint64_t totalBytes) const
+PimSystem::rankParallelTransferSeconds(uint64_t totalBytes,
+                                       uint32_t dpusInRank) const
 {
-    // A single rank engages one rank's worth of parallel bandwidth,
-    // regardless of how many ranks the whole system has.
-    double bw = std::min(model_.hostParallelBandwidth,
+    // Parallel transfers stream at the per-rank bandwidth, overlapped
+    // across the hardware ranks the span covers, capped by host
+    // memory bandwidth.
+    uint32_t ranks =
+        model_.dpusPerRank
+            ? std::max(1u, dpusInRank / model_.dpusPerRank)
+            : 1u;
+    double bw = std::min(model_.hostParallelBandwidth * ranks,
                          model_.hostAggregateBandwidthCap);
     if (bw <= 0.0)
         return 0.0;
@@ -485,36 +482,41 @@ PimSystem::sweepLaunchFailures(const std::vector<uint8_t>& ran,
     lastReport_ = std::move(report);
 }
 
+namespace {
+
+/** Reserve @p seconds on @p rank's transfer lane; the event starts
+ * when the lane actually frees up (not end - seconds, which can be
+ * off by an ulp). */
+PipelineEvent
+reserveOnRank(PipelineTimeline& timeline, uint32_t rank,
+              double readyAt, double seconds)
+{
+    double start = std::max(readyAt, timeline.rankFree(rank));
+    double end = timeline.reserveRank(rank, readyAt, seconds);
+    return {start, end};
+}
+
+} // namespace
+
 PipelineEvent
 PimSystem::broadcastAsync(PipelineTimeline& timeline, double readyAt,
-                          uint64_t tableBytes, int32_t rank)
+                          uint64_t tableBytes, uint32_t rank)
 {
     obs::TraceSpan span("broadcastAsync", "xfer",
                         obs::argKv("bytes", tableBytes));
-    if (rank >= 0) {
-        // Fleet path: one single-rank parallel pass, reserved on the
-        // rank's transfer lane (serializing with any sibling rank on
-        // the same channel).
-        double seconds = accountTransferSeconds(
-            transferStats_.broadcast, "broadcast",
-            TransferMode::Parallel, tableBytes,
-            rankParallelTransferSeconds(tableBytes));
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double seconds =
-        accountTransfer(transferStats_.broadcast, "broadcast",
-                        TransferMode::Parallel, tableBytes);
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    // One single-rank parallel pass, reserved on the rank's transfer
+    // lane (serializing with any sibling rank on the same channel).
+    double seconds = accountTransferSeconds(
+        transferStats_.broadcast, "broadcast", TransferMode::Parallel,
+        tableBytes,
+        rankParallelTransferSeconds(tableBytes, timeline.dpusPerRank()));
+    return reserveOnRank(timeline, rank, readyAt, seconds);
 }
 
 PipelineEvent
 PimSystem::scatterAsync(PipelineTimeline& timeline, double readyAt,
                         std::span<const ScatterSlice> slices,
-                        int32_t rank)
+                        uint32_t rank)
 {
     uint64_t total = 0;
     for (const ScatterSlice& s : slices)
@@ -539,20 +541,13 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, double readyAt,
     double seconds =
         accountTransfer(transferStats_.scatter, "scatter",
                         TransferMode::Serial, streamBytes, extra);
-    if (rank >= 0) {
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    return reserveOnRank(timeline, rank, readyAt, seconds);
 }
 
 PipelineEvent
 PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
                        std::span<const GatherSlice> slices,
-                       int32_t rank)
+                       uint32_t rank)
 {
     uint64_t total = 0;
     for (const GatherSlice& s : slices)
@@ -575,14 +570,7 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
     double seconds =
         accountTransfer(transferStats_.gather, "gather",
                         TransferMode::Serial, streamBytes, extra);
-    if (rank >= 0) {
-        double end = timeline.reserveRank(
-            static_cast<uint32_t>(rank), readyAt, seconds);
-        return {end - seconds, end};
-    }
-    double start = std::max(readyAt, timeline.hostFree());
-    double end = timeline.reserveHost(readyAt, seconds);
-    return {start, end};
+    return reserveOnRank(timeline, rank, readyAt, seconds);
 }
 
 PipelineEvent

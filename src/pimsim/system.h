@@ -172,11 +172,12 @@ struct ShardedRunReport
 
 /**
  * Modeled-time resource timeline for pipelined (double-buffered)
- * execution: one lane for the serialized host interface plus one lane
- * per DPU. A reservation starts when both its dependency (@p readyAt)
- * and the lane are free — exactly the rank-level overlap the UPMEM
- * async API exposes, where the host can stream wave N+1 while the
- * DPUs compute wave N.
+ * execution: one serialized transfer lane per rank (plus one per
+ * memory channel, see configureRanks) and one compute lane per DPU.
+ * A reservation starts when both its dependency (@p readyAt) and the
+ * lane are free — exactly the rank-level overlap the UPMEM async API
+ * exposes, where the host can stream wave N+1 while the DPUs compute
+ * wave N.
  *
  * Purely modeled time: the simulator still executes everything
  * eagerly in wall time; the timeline only decides how the modeled
@@ -192,9 +193,6 @@ class PipelineTimeline
     {
     }
 
-    /** When the host-interface lane next becomes idle. */
-    double hostFree() const { return host_; }
-
     /** When @p dpu's compute lane next becomes idle. */
     double dpuFree(uint32_t dpu) const { return dpus_[dpu]; }
 
@@ -203,8 +201,8 @@ class PipelineTimeline
      * @p dpusPerRank DPUs each, with rank r's transfers carried on
      * channel @p channelOfRank[r]. Ranks mapped to distinct channels
      * overlap; ranks sharing a channel serialize against each other.
-     * Until this is called (the flat single-system path), rank lanes
-     * do not exist and reserveRank must not be used.
+     * Transfer legs need the rank lanes: call this before any
+     * reserveRank.
      */
     void
     configureRanks(uint32_t ranks, uint32_t dpusPerRank,
@@ -220,7 +218,10 @@ class PipelineTimeline
         channelLane_.assign(channels, 0.0);
     }
 
-    /** Number of rank lanes armed by configureRanks (0 = flat). */
+    /** DPUs per rank lane armed by configureRanks (0 = none). */
+    uint32_t dpusPerRank() const { return rankDpus_; }
+
+    /** Number of rank lanes armed by configureRanks (0 = none). */
     uint32_t rankCount() const
     {
         return static_cast<uint32_t>(rankLane_.size());
@@ -261,19 +262,9 @@ class PipelineTimeline
     }
 
     /**
-     * Occupy the host lane for @p seconds starting no earlier than
-     * @p readyAt. @return the completion time.
+     * Occupy @p dpu's compute lane for @p seconds starting no earlier
+     * than @p readyAt. @return the completion time.
      */
-    double
-    reserveHost(double readyAt, double seconds)
-    {
-        double start = std::max(readyAt, host_);
-        host_ = start + seconds;
-        makespan_ = std::max(makespan_, host_);
-        return host_;
-    }
-
-    /** Occupy @p dpu's compute lane; see reserveHost. */
     double
     reserveDpu(uint32_t dpu, double readyAt, double seconds)
     {
@@ -293,7 +284,6 @@ class PipelineTimeline
     double makespan() const { return makespan_; }
 
   private:
-    double host_ = 0.0;
     std::vector<double> dpus_;
     double makespan_ = 0.0;
     // Rank lanes (empty until configureRanks): per-rank transfer
@@ -437,7 +427,8 @@ class PimSystem
     /// The async variants perform their data movement / simulation
     /// immediately in wall time but reserve their modeled cost on a
     /// caller-owned PipelineTimeline instead of assuming the legs run
-    /// back to back: transfer legs occupy the serialized host lane,
+    /// back to back: transfer legs occupy one rank's serialized
+    /// transfer lane (the timeline must have configureRanks armed),
     /// kernel legs occupy each DPU's own lane. Passing the completion
     /// time of a leg as another leg's @p readyAt expresses the data
     /// dependency; the timeline's makespan is then the end-to-end
@@ -448,41 +439,37 @@ class PimSystem
     /// @{
 
     /**
-     * Account a rank-parallel broadcast of @p tableBytes on the host
-     * lane, timing only: the broadcast data itself must already have
-     * been staged through direct core writes (e.g. an evaluator's
-     * attach()). Used by the serve layer to model LUT distribution on
-     * a cache miss.
-     *
-     * With @p rank >= 0 the leg is reserved on that rank's transfer
-     * lane (the timeline must have configureRanks armed) and costs
-     * one single-rank parallel pass (rankParallelTransferSeconds)
-     * instead of the whole-system parallel rate — the fleet path
-     * broadcasts a table once per holding rank, not once per DPU.
+     * Account a broadcast of @p tableBytes to @p rank, timing only:
+     * the broadcast data itself must already have been staged
+     * through direct core writes (e.g. an evaluator's attach()). Used
+     * by the serve layer to model LUT distribution on a cache miss.
+     * The leg costs one single-rank parallel pass
+     * (rankParallelTransferSeconds over the timeline's dpusPerRank)
+     * on the rank's transfer lane — the serve layer broadcasts a
+     * table once per holding rank, not once per DPU.
      */
     PipelineEvent broadcastAsync(PipelineTimeline& timeline,
                                  double readyAt, uint64_t tableBytes,
-                                 int32_t rank = -1);
+                                 uint32_t rank);
 
     /**
-     * Scatter variable-size @p slices (serialized on the host lane)
-     * starting no earlier than @p readyAt. Copies happen immediately;
-     * with a fault plan armed each slice is one retryable transfer
-     * leg and a slice whose DPU dies is dropped (check isMasked()
-     * afterwards). @return the leg's reservation on the host lane,
-     * or on @p rank's transfer lane when @p rank >= 0 (fleet path:
-     * the slices must all target DPUs of that rank).
+     * Scatter variable-size @p slices, all to DPUs of @p rank,
+     * serialized on the rank's transfer lane starting no earlier than
+     * @p readyAt. Copies happen immediately; with a fault plan armed
+     * each slice is one retryable transfer leg and a slice whose DPU
+     * dies is dropped (check isMasked() afterwards). @return the
+     * leg's reservation.
      */
     PipelineEvent scatterAsync(PipelineTimeline& timeline,
                                double readyAt,
                                std::span<const ScatterSlice> slices,
-                               int32_t rank = -1);
+                               uint32_t rank);
 
     /** Gather variable-size @p slices; mirror of scatterAsync. */
     PipelineEvent gatherAsync(PipelineTimeline& timeline,
                               double readyAt,
                               std::span<const GatherSlice> slices,
-                              int32_t rank = -1);
+                              uint32_t rank);
 
     /**
      * Launch a wave on every DPU for which @p makeKernel returns a
@@ -600,19 +587,24 @@ class PimSystem
 
     /**
      * Modeled seconds a transfer of @p totalBytes takes in parallel
-     * mode (same-size buffer per DPU, overlapped across ranks).
-     * Returns 0 if the model's bandwidth parameters are non-positive.
+     * mode (same-size buffer per DPU, overlapped across ranks): the
+     * whole system as one span, rankParallelTransferSeconds(bytes,
+     * numDpus()). Returns 0 if the model's bandwidth parameters are
+     * non-positive.
      */
     double parallelTransferSeconds(uint64_t totalBytes) const;
 
     /**
-     * Modeled seconds one *rank* takes to stream @p totalBytes in
-     * parallel mode: a single rank engages only its own per-rank
-     * bandwidth, however many DPUs it carries. The fleet path charges
-     * this per holding rank; ranks on distinct channels overlap on
-     * the timeline instead of multiplying the rate here.
+     * Modeled seconds one topology rank of @p dpusInRank DPUs takes
+     * to stream @p totalBytes in parallel mode: the span engages
+     * max(1, dpusInRank / model().dpusPerRank) hardware ranks of
+     * bandwidth, so a real 64-DPU rank gets one rank's worth however
+     * large the system is. The serve layer charges this per holding
+     * rank; ranks on distinct channels overlap on the timeline
+     * instead of multiplying the rate here.
      */
-    double rankParallelTransferSeconds(uint64_t totalBytes) const;
+    double rankParallelTransferSeconds(uint64_t totalBytes,
+                                       uint32_t dpusInRank) const;
 
     /**
      * Modeled seconds a transfer of @p totalBytes takes in serial mode

@@ -15,7 +15,7 @@
  *
  * Topology is a plain description; the modeled consequences live in
  * PipelineTimeline's rank/channel lanes (system.h) and in the serve
- * layer's FleetScheduler (serve/fleet.h).
+ * layer's rank-aware ServePipeline (serve/pipeline.h).
  */
 
 #ifndef TPL_PIMSIM_TOPOLOGY_H
@@ -34,7 +34,8 @@ namespace sim {
  * @c ranksPerDimm ranks of @c dpusPerRank DPUs. Ranks are numbered
  * DIMM-major (rank r lives on DIMM r / ranksPerDimm) and DPUs
  * rank-major (DPU d lives on rank d / dpusPerRank), so a
- * Topology{1, 1, N} is exactly today's flat N-DPU pool.
+ * Topology{1, 1, N} is one rank of all N DPUs — the shape a
+ * ServePipeline without a topology runs its system as.
  *
  * One memory channel per DIMM: ranks on different DIMMs transfer in
  * parallel; the ranks of one DIMM serialize on their shared channel.

@@ -237,7 +237,7 @@ TEST(FleetConformance, TransferBandwidthScalesAcrossRanksNotWithin)
     // regime the cost model encodes).
     double rankRate =
         static_cast<double>(bytes) /
-        sys.rankParallelTransferSeconds(bytes);
+        sys.rankParallelTransferSeconds(bytes, 4);
     double serialRate =
         static_cast<double>(bytes) / sys.serialTransferSeconds(bytes);
     double regime = rankRate / serialRate;

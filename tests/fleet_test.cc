@@ -3,16 +3,16 @@
  * Fleet conformance tier: the multi-rank/multi-DIMM topology model
  * and the cluster scheduler. Locks the rank-transfer scaling law
  * (lanes overlap across memory channels, serialize within one), the
- * flat-path kill switch (Topology{1,1,N} reproduces the flat
- * pipeline bit-for-bit), determinism across simulation thread
- * counts, once-per-rank table broadcasts, hot-table balancing, and
- * per-rank fault degradation.
+ * flat case (no topology runs exactly as Topology{1,1,N}),
+ * determinism across simulation thread counts, once-per-rank table
+ * broadcasts, hot-table balancing, and per-rank fault degradation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -20,6 +20,7 @@
 #include "pimsim/serve/pipeline.h"
 #include "pimsim/serve/table_cache.h"
 #include "pimsim/topology.h"
+#include "transpim/auto_tuner.h"
 #include "transpim/harness.h"
 #include "transpim/serve_glue.h"
 
@@ -52,14 +53,20 @@ struct RunResult
     std::vector<float> out;
 };
 
+/** Last-minute pipeline option edits (cost book, auto-tuner) made
+ * against the run's own catalog. */
+using Configure =
+    std::function<void(serve::PipelineOptions&, EvaluatorCatalog&)>;
+
 /** Replay @p reqs through one ServePipeline on a fresh system.
- * @p topo == nullptr runs the flat path; inputs are a fixed
+ * @p topo == nullptr runs the system as one rank; inputs are a fixed
  * deterministic pattern so outputs are comparable across runs. */
 RunResult
 runTrace(const std::vector<Req>& reqs, uint32_t dpus,
          const Topology* topo, uint32_t perDpuElements = 64,
          uint32_t simThreads = 0, const char* planText = nullptr,
-         bool pipelined = true, obs::Journal* journal = nullptr)
+         bool pipelined = true, obs::Journal* journal = nullptr,
+         const Configure& configure = {})
 {
     PimSystem sys(dpus);
     if (simThreads)
@@ -106,6 +113,8 @@ runTrace(const std::vector<Req>& reqs, uint32_t dpus,
     popts.pipelined = pipelined;
     popts.journal = journal;
     popts.topology = topo;
+    if (configure)
+        configure(popts, catalog);
     serve::ServePipeline pipeline(sys, catalog.provider(), popts);
     res.rep = pipeline.run(queue);
     return res;
@@ -182,7 +191,7 @@ TEST(RankTransfer, BroadcastsOverlapAcrossChannelsSerializeWithin)
 {
     PimSystem sys(8);
     const uint64_t bytes = 1u << 20;
-    const double one = sys.rankParallelTransferSeconds(bytes);
+    const double one = sys.rankParallelTransferSeconds(bytes, 4);
     ASSERT_GT(one, 0.0);
 
     // Two DIMMs: the two rank lanes ride distinct channels, so two
@@ -299,7 +308,7 @@ TEST(FleetCache, BroadcastOncePerHoldingRankNotPerDpu)
     EXPECT_EQ(cache.rankBroadcasts(), 2u);
     EXPECT_EQ(cache.residency(0), 1u);
 
-    // Re-arming resets residency (each fleet run re-broadcasts).
+    // Re-arming resets residency (each run() re-broadcasts).
     cache.setRankCount(3);
     EXPECT_EQ(cache.residency(0), 0u);
     EXPECT_EQ(cache.rankBroadcasts(), 0u);
@@ -331,37 +340,106 @@ TEST(FleetScheduler, CacheCountersCountRanksNotDpus)
 }
 
 // ---------------------------------------------------------------------
-// The kill switch: no topology (or a mismatched one) is the flat
-// path; Topology{1,1,N} is the flat schedule re-derived.
+// The flat case: no topology (or a mismatched one) is one rank of
+// every DPU, Topology{1,1,N}.
 
 TEST(FleetScheduler, SingleRankTopologyMatchesFlatBitExactly)
 {
-    std::vector<Req> reqs = {
+    const std::vector<Req> reqs = {
         {0, 600}, {1, 300}, {0, 300}, {2, 500}, {1, 140}};
-    RunResult flat = runTrace(reqs, 8, nullptr);
-    Topology topo{1, 1, 8};
-    RunResult fleet = runTrace(reqs, 8, &topo);
+    auto expectFlatEqualsOneRank = [&](uint32_t dpus,
+                                       const char* plan,
+                                       const Configure& configure)
+        -> RunResult {
+        Topology topo{1, 1, dpus};
+        obs::Journal flatJournal;
+        obs::Journal fleetJournal;
+        RunResult flat = runTrace(reqs, dpus, nullptr, 64, 0, plan,
+                                  true, &flatJournal, configure);
+        RunResult fleet = runTrace(reqs, dpus, &topo, 64, 0, plan,
+                                   true, &fleetJournal, configure);
 
-    ASSERT_TRUE(flat.rep.complete);
-    ASSERT_TRUE(fleet.rep.complete);
-    // Modeled quantities are bit-identical, not just close.
-    EXPECT_EQ(fleet.rep.modeledSeconds, flat.rep.modeledSeconds);
-    EXPECT_EQ(fleet.rep.syncSeconds, flat.rep.syncSeconds);
-    EXPECT_EQ(fleet.rep.computeCycles, flat.rep.computeCycles);
-    EXPECT_EQ(fleet.rep.waves, flat.rep.waves);
-    EXPECT_EQ(fleet.rep.cacheHits, flat.rep.cacheHits);
-    EXPECT_EQ(fleet.rep.cacheMisses, flat.rep.cacheMisses);
-    EXPECT_EQ(fleet.rep.elements, flat.rep.elements);
-    ASSERT_EQ(fleet.out.size(), flat.out.size());
-    EXPECT_EQ(std::memcmp(fleet.out.data(), flat.out.data(),
-                          flat.out.size() * sizeof(float)),
-              0);
-    // The flat report has no rank rows; the single-rank fleet's one
-    // row carries the whole makespan.
-    EXPECT_TRUE(flat.rep.rankStats.empty());
-    ASSERT_EQ(fleet.rep.rankStats.size(), 1u);
-    EXPECT_EQ(fleet.rep.rankStats[0].makespanSeconds,
-              fleet.rep.modeledSeconds);
+        EXPECT_TRUE(flat.rep.complete);
+        EXPECT_EQ(fleet.rep.complete, flat.rep.complete);
+        // Modeled quantities are bit-identical, not just close.
+        EXPECT_EQ(fleet.rep.modeledSeconds, flat.rep.modeledSeconds);
+        EXPECT_EQ(fleet.rep.syncSeconds, flat.rep.syncSeconds);
+        EXPECT_EQ(fleet.rep.computeCycles, flat.rep.computeCycles);
+        EXPECT_EQ(fleet.rep.waves, flat.rep.waves);
+        EXPECT_EQ(fleet.rep.cacheHits, flat.rep.cacheHits);
+        EXPECT_EQ(fleet.rep.cacheMisses, flat.rep.cacheMisses);
+        EXPECT_EQ(fleet.rep.elements, flat.rep.elements);
+        EXPECT_EQ(fleet.rep.failedDpus, flat.rep.failedDpus);
+        EXPECT_EQ(fleet.rep.reshardedElements,
+                  flat.rep.reshardedElements);
+        EXPECT_EQ(fleet.rep.droppedElements, flat.rep.droppedElements);
+        EXPECT_EQ(fleet.out, flat.out);
+        // Journal bytes too, `"rank": 0` keys included.
+        EXPECT_EQ(fleetJournal.toJsonl(), flatJournal.toJsonl());
+        // Both reports carry one rank row holding the whole makespan.
+        for (const RunResult* r : {&flat, &fleet}) {
+            EXPECT_EQ(r->rep.rankStats.size(), 1u);
+            if (!r->rep.rankStats.empty()) {
+                EXPECT_EQ(r->rep.rankStats[0].makespanSeconds,
+                          r->rep.modeledSeconds);
+            }
+        }
+        return flat;
+    };
+
+    {
+        SCOPED_TRACE("plain");
+        expectFlatEqualsOneRank(8, nullptr, {});
+    }
+    {
+        // More than one hardware rank of DPUs in the single
+        // topology rank: broadcasts engage both ranks' bandwidth.
+        SCOPED_TRACE("128 DPUs");
+        expectFlatEqualsOneRank(128, nullptr, {});
+    }
+    {
+        // DPU 2 dies on its first launch: the first wave re-shards
+        // its slice while later waves are still queued.
+        SCOPED_TRACE("mid-run DPU failure");
+        RunResult r = expectFlatEqualsOneRank(
+            8, "seed 3\nfault kind=dpu-hard-fail dpu=2 prob=1\n", {});
+        EXPECT_EQ(r.rep.failedDpus, std::vector<uint32_t>{2});
+        EXPECT_GT(r.rep.reshardedElements, 0u);
+    }
+    {
+        // A made-up envelope cheap enough that the predictor splits
+        // the larger waves.
+        SCOPED_TRACE("cost book");
+        serve::CostBook book;
+        RunResult r = expectFlatEqualsOneRank(
+            8, nullptr,
+            [&](serve::PipelineOptions& popts,
+                EvaluatorCatalog& catalog) {
+                serve::WaveCost cost;
+                cost.cyclesPerElement = 16.0;
+                cost.fixedCycles = 100.0;
+                cost.minElements = 1;
+                for (Function f : {Function::Sin, Function::Cos,
+                                   Function::Exp})
+                    book.set(catalog.add(f, MethodSpec{}), cost);
+                popts.costBook = &book;
+            });
+        RunResult unsplit = runTrace(reqs, 8, nullptr);
+        EXPECT_GT(r.rep.waves, unsplit.rep.waves);
+    }
+    {
+        // No SLAs: every stream passes through, but the tuner is
+        // bound, routed and observed on every wave.
+        SCOPED_TRACE("unconstrained auto-tuner");
+        std::optional<OnlineAutoTuner> tuner;
+        expectFlatEqualsOneRank(
+            8, nullptr,
+            [&](serve::PipelineOptions& popts,
+                EvaluatorCatalog& catalog) {
+                tuner.emplace(catalog);
+                popts.autoTuner = &*tuner;
+            });
+    }
 }
 
 TEST(FleetScheduler, MismatchedTopologyFallsBackToFlat)
@@ -370,7 +448,9 @@ TEST(FleetScheduler, MismatchedTopologyFallsBackToFlat)
     Topology wrong{1, 1, 16}; // system below has 8 DPUs
     RunResult flat = runTrace(reqs, 8, nullptr);
     RunResult fallback = runTrace(reqs, 8, &wrong);
-    EXPECT_TRUE(fallback.rep.rankStats.empty());
+    // The whole 8-DPU system runs as one rank, as with no topology.
+    ASSERT_EQ(fallback.rep.rankStats.size(), 1u);
+    EXPECT_EQ(fallback.rep.rankStats[0].elements, flat.rep.elements);
     EXPECT_EQ(fallback.rep.modeledSeconds, flat.rep.modeledSeconds);
     EXPECT_EQ(fallback.rep.waves, flat.rep.waves);
     EXPECT_EQ(std::memcmp(fallback.out.data(), flat.out.data(),
@@ -537,7 +617,7 @@ TEST(FleetScheduler, MaskedRankReshardsOntoHealthyRanks)
                   res.rep.rankStats[0].computeCycles,
               res.rep.computeCycles);
 
-    // Outputs match a fault-free flat reference bit for bit.
+    // Outputs match a fault-free one-rank reference bit for bit.
     RunResult ref = runTrace(mixedLoad(12, 160), 8, nullptr, 32);
     ASSERT_TRUE(ref.rep.complete);
     EXPECT_EQ(std::memcmp(res.out.data(), ref.out.data(),

@@ -423,6 +423,75 @@ TEST(ServePipeline, AllCoresDeadReportsIncompleteInsteadOfHanging)
     EXPECT_EQ(sys.healthyDpus(), 0u);
 }
 
+TEST(ServePipeline, DpuFailureInFinalWaveIsReshardedAndServed)
+{
+    // One 512-element request is a single wave of 64-element slices
+    // over 8 DPUs. DPU 2 hard-fails during it, so its slice is
+    // re-queued after the queue has already run dry; the seven
+    // survivors must still serve it.
+    EvaluatorCatalog catalog;
+    serve::TableKey key = catalog.add(Function::Sin, MethodSpec{});
+    std::vector<float> in(512);
+    for (uint32_t i = 0; i < in.size(); ++i)
+        in[i] = 3.0f * static_cast<float>(i) / in.size();
+    auto serveOnce = [&](const char* planText,
+                         std::vector<float>& out) {
+        sim::PimSystem sys(8);
+        if (planText) {
+            auto plan = fault::FaultPlan::parse(planText);
+            EXPECT_TRUE(plan.has_value());
+            if (plan)
+                sys.armFaults(*plan);
+        }
+        serve::BatchQueue queue;
+        queue.push(
+            makeRequest(key, in.data(), out.data(), in.size()));
+        queue.close();
+        serve::PipelineOptions popts;
+        popts.numTasklets = 8;
+        serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+        return pipeline.run(queue);
+    };
+
+    std::vector<float> ref(in.size(), 0.0f);
+    ASSERT_TRUE(serveOnce(nullptr, ref).complete);
+    std::vector<float> out(in.size(), 0.0f);
+    serve::ServeReport rep = serveOnce(
+        "seed 11\nfault kind=dpu-hard-fail dpu=2 prob=1\n", out);
+    EXPECT_TRUE(rep.complete);
+    EXPECT_EQ(rep.failedDpus, std::vector<uint32_t>{2});
+    EXPECT_EQ(rep.reshardedElements, 64u);
+    EXPECT_EQ(rep.droppedElements, 0u);
+    EXPECT_EQ(out, ref); // every output written, none left at zero
+}
+
+TEST(ServePipeline, RepeatedRunsReuseTheirMramBuffers)
+{
+    // Four 4 MiB buffers per DPU: eight runs would need 128 MiB of
+    // the 64 MiB MRAM if each run allocated its own.
+    sim::PimSystem sys(2);
+    EvaluatorCatalog catalog;
+    serve::TableKey key = catalog.add(Function::Sin, MethodSpec{});
+    serve::PipelineOptions popts;
+    popts.numTasklets = 4;
+    popts.perDpuElements = 1u << 20;
+    serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+
+    std::vector<float> in(256, 0.5f), out(256);
+    uint32_t afterFirst = 0;
+    for (int run = 0; run < 8; ++run) {
+        serve::BatchQueue queue;
+        queue.push(
+            makeRequest(key, in.data(), out.data(), in.size()));
+        queue.close();
+        ASSERT_TRUE(pipeline.run(queue).complete) << "run " << run;
+        if (run == 0)
+            afterFirst = sys.dpu(0).mramAllocated();
+        EXPECT_EQ(sys.dpu(0).mramAllocated(), afterFirst)
+            << "run " << run;
+    }
+}
+
 TEST(ServePipeline, FaultFreeOutputsMatchReference)
 {
     BatchedOptions opts;
