@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks: host-side wall-clock throughput of
- * every method's evaluation routine (no cost model, no simulation).
+ * every method's evaluation routine (no cost model, no simulation),
+ * plus the serve front-end's BatchQueue push/pop at several depths.
  *
  * These numbers measure the *simulator's* own speed, not the modeled
  * PIM system - useful for tracking regressions in the numeric kernels
@@ -10,6 +11,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "pimsim/serve/batch_queue.h"
 #include "transpim/evaluator.h"
 
 namespace {
@@ -77,6 +84,52 @@ void BM_Gelu_DlLut(benchmark::State& s)
     runMethod(s, Function::Gelu, Method::DlLut);
 }
 
+/**
+ * BatchQueue at a steady depth of state.range(0) requests: each
+ * iteration pops one wave of at most state.range(1) elements and
+ * pushes back as many requests as it closed. Requests of 8-24
+ * elements are spread at random over 8 keys x 4 tenants, so every
+ * lane interleaves with the others. A 64-element budget takes a few
+ * requests from the oldest lane; a 2^20 budget takes the whole lane,
+ * as a fleet-sized wave does. Items are requests closed; per-item
+ * time should stay flat as the depth grows.
+ */
+void
+BM_BatchQueue_PushPop(benchmark::State& state)
+{
+    namespace serve = tpl::sim::serve;
+    std::vector<serve::TableKey> keys(8);
+    for (uint64_t k = 0; k < keys.size(); ++k) {
+        keys[k].hash = k + 1;
+        keys[k].label = "k" + std::to_string(k);
+    }
+    tpl::SplitMix64 rng(42);
+    float buf[32] = {};
+    serve::BatchQueue queue;
+    auto pushOne = [&] {
+        const uint64_t pick = rng.next();
+        serve::Request r;
+        r.table = keys[pick % keys.size()];
+        r.tenant = (pick >> 8) % 4;
+        r.input = buf;
+        r.output = buf;
+        r.elements = 8 + (pick >> 16) % 17;
+        queue.push(std::move(r));
+    };
+    for (int64_t i = 0; i < state.range(0); ++i)
+        pushOne();
+    int64_t closed = 0;
+    for (auto _ : state) {
+        std::optional<serve::Wave> wave = queue.popWave(
+            static_cast<uint64_t>(state.range(1)));
+        for (uint32_t i = 0; i < wave->requestsClosed; ++i)
+            pushOne();
+        closed += wave->requestsClosed;
+        benchmark::DoNotOptimize(wave);
+    }
+    state.SetItemsProcessed(closed);
+}
+
 BENCHMARK(BM_Sin_Cordic);
 BENCHMARK(BM_Sin_CordicLut);
 BENCHMARK(BM_Sin_MLut);
@@ -87,6 +140,9 @@ BENCHMARK(BM_Tanh_DLut);
 BENCHMARK(BM_Tanh_DlLut);
 BENCHMARK(BM_Exp_LLut);
 BENCHMARK(BM_Gelu_DlLut);
+BENCHMARK(BM_BatchQueue_PushPop)
+    ->ArgNames({"depth", "budget"})
+    ->ArgsProduct({{1000, 10000, 100000}, {64, 1 << 20}});
 
 } // namespace
 

@@ -44,6 +44,8 @@ anchors_of() {
 }
 
 for md in $md_files; do
+    # -c also lists tracked files deleted from the working tree.
+    [ -f "$md" ] || continue
     # Pull out link targets: [text](target). One per line; markdown
     # in this repo never nests parentheses inside link targets.
     # Fenced code blocks are stripped first — C++ lambdas ([&](...))

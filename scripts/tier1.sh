@@ -131,7 +131,7 @@ fi
 # tuner beating the best static configuration with every SLA met;
 # pimserve --auto-tune must emit its tuner section) so the documented
 # examples keep working, and check that both CLIs reject a request
-# too large to buffer with exit 2.
+# or a demo trace too large to buffer with exit 2.
 if [ "${TPL_TIER1_DOCS:-0}" = "1" ]; then
     bash "$SRC_DIR/scripts/check_docs.sh"
     DOCS_TMP=$(mktemp -d)
@@ -173,6 +173,19 @@ PYEOF
             exit 1
         fi
         grep -q 'huge.trace:1: ' "$DOCS_TMP/huge.err"
+    done
+    # So is a demo trace too large to buffer (each tool's demo-size
+    # option at UINT32_MAX requests; $demo splits into the tool and
+    # its flags).
+    for demo in "pimserve --demo-trace --demo-requests" "pimtune --demo"; do
+        status=0
+        "$BUILD_DIR/tools/"$demo 4294967295 \
+            > /dev/null 2> "$DOCS_TMP/huge.err" || status=$?
+        if [ "$status" != 2 ]; then
+            echo "$demo 4294967295: exited $status, want 2" >&2
+            exit 1
+        fi
+        grep -q 'demo trace exceeds' "$DOCS_TMP/huge.err"
     done
     echo "check_docs + pimserve/pimtune demo replay JSON round-trip OK"
 fi

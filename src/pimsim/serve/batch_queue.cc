@@ -32,7 +32,13 @@ BatchQueue::push(Request request)
         ev.table = request.table.label;
         journal_->record(ev);
     }
-    queue_.push_back(std::move(request));
+    ++depth_;
+    queuedElements_ += request.elements;
+    auto [lane, created] = lanes_.try_emplace(
+        LaneKey{request.table.hash, request.tenant});
+    if (created)
+        heads_.emplace(id, lane);
+    lane->second.push_back(std::move(request));
     cv_.notify_one();
     return id;
 }
@@ -63,17 +69,14 @@ size_t
 BatchQueue::depth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
+    return depth_;
 }
 
 uint64_t
 BatchQueue::queuedElements() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t n = 0;
-    for (const Request& r : queue_)
-        n += r.elements;
-    return n;
+    return queuedElements_;
 }
 
 uint64_t
@@ -87,48 +90,67 @@ std::optional<Wave>
 BatchQueue::popWave(uint64_t maxElements)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty())
+    cv_.wait(lock, [&] { return !heads_.empty() || closed_; });
+    if (heads_.empty())
         return std::nullopt;
+
+    // The lane holding the oldest request chooses the wave's table
+    // and tenant; requests of other lanes are never touched.
+    const Lanes::iterator laneIt = heads_.begin()->second;
+    heads_.erase(heads_.begin());
+    std::deque<Request>& lane = laneIt->second;
 
     const uint64_t budget = std::max<uint64_t>(maxElements, 1);
     Wave wave;
-    wave.table = queue_.front().table;
-    wave.tenant = queue_.front().tenant;
+    wave.table = lane.front().table;
+    wave.tenant = lane.front().tenant;
 
-    // FIFO sweep: absorb every request matching the front request's
-    // table and tenant until the budget is spent. Zero-element
-    // requests are closed for free; a request larger than the
-    // remaining budget is consumed partially and its spans advance
-    // in place.
+    // Drain the lane in arrival order until the budget is spent.
+    // Zero-element requests are closed for free; a request larger
+    // than the remaining budget is consumed partially, its spans
+    // advance in place and it stays at the head of its lane.
     uint64_t taken = 0;
-    for (auto it = queue_.begin(); it != queue_.end();) {
-        if (!(it->table == wave.table) || it->tenant != wave.tenant) {
-            ++it;
-            continue;
-        }
-        if (it->elements == 0) {
+    while (!lane.empty()) {
+        Request& r = lane.front();
+        if (r.elements == 0) {
             ++wave.requestsClosed;
-            it = queue_.erase(it);
+            --depth_;
+            lane.pop_front();
             continue;
         }
         if (taken == budget)
             break;
-        uint64_t take = std::min(it->elements, budget - taken);
-        const bool wholeTail = take == it->elements;
-        wave.items.push_back({it->id, it->input, it->output, take,
-                              it->arrivalSeconds, wholeTail});
+        uint64_t take = std::min(r.elements, budget - taken);
+        const bool wholeTail = take == r.elements;
+        wave.items.push_back(
+            {r.id, r.input, r.output, take, r.arrivalSeconds, wholeTail});
         taken += take;
+        queuedElements_ -= take;
         if (wholeTail) {
             ++wave.requestsClosed;
-            it = queue_.erase(it);
-        } else {
-            it->input += take;
-            it->output += take;
-            it->elements -= take;
-            ++it;
+            --depth_;
+            lane.pop_front();
+            continue;
         }
+        r.input += take;
+        r.output += take;
+        r.elements -= take;
+        // The budget is spent, but the zero-element requests queued
+        // directly behind the partial head still close in this wave.
+        const auto behind = lane.begin() + 1;
+        auto zerosEnd = behind;
+        while (zerosEnd != lane.end() && zerosEnd->elements == 0)
+            ++zerosEnd;
+        const size_t zeros = static_cast<size_t>(zerosEnd - behind);
+        lane.erase(behind, zerosEnd);
+        wave.requestsClosed += static_cast<uint32_t>(zeros);
+        depth_ -= zeros;
+        break;
     }
+    if (lane.empty())
+        lanes_.erase(laneIt);
+    else
+        heads_.emplace(lane.front().id, laneIt);
     return wave;
 }
 

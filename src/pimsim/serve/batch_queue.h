@@ -9,15 +9,23 @@
  * input span, an output span, and the TableKey naming the evaluator
  * configuration); the single pipeline consumer pops waves.
  *
- * Coalescing is FIFO-fair: a wave adopts the table *and tenant* of
- * the oldest queued request and then sweeps the queue in order,
- * absorbing every request with the same key and tenant until the
- * element budget is reached (tenants have independent SLAs, so their
- * elements never mix in one wave; the default tenant 0 reproduces
- * the tenant-oblivious batching exactly).
+ * Coalescing is FIFO-fair: the oldest queued request chooses the
+ * wave's table *and tenant*, and the wave then absorbs, in arrival
+ * order, every request with the same key and tenant until the element
+ * budget is reached (tenants have independent SLAs, so their elements
+ * never mix in one wave; the default tenant 0 reproduces the
+ * tenant-oblivious batching exactly).
  * Requests larger than one wave are consumed incrementally — the
  * queue advances their spans in place, so a 10-wave request simply
  * yields ten consecutive waves without copying.
+ *
+ * Layout: one FIFO lane per (TableKey::hash, tenant) plus an index of
+ * lane heads ordered by request id. The lane whose head has the
+ * smallest id holds the oldest request (a partially consumed request
+ * keeps its id and its place), so popWave drains that lane from the
+ * front in O(items taken + log lanes), whatever the queue depth.
+ * Drained lanes are dropped; depth() and queuedElements() are running
+ * counters.
  */
 
 #ifndef TPL_PIMSIM_SERVE_BATCH_QUEUE_H
@@ -26,9 +34,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tpl {
@@ -135,6 +145,7 @@ class BatchQueue
      * Blocks while the queue is empty and open; returns std::nullopt
      * once the queue is closed and fully drained. @p maxElements of 0
      * is treated as 1 (a wave always makes progress).
+     * Costs O(items taken + zero-element requests closed + log lanes).
      */
     std::optional<Wave> popWave(uint64_t maxElements);
 
@@ -144,10 +155,11 @@ class BatchQueue
 
     bool closed() const;
 
-    /** Requests currently queued (partially consumed ones count). */
+    /** Requests currently queued (partially consumed ones count).
+     * O(1). */
     size_t depth() const;
 
-    /** Elements currently queued. */
+    /** Elements currently queued. O(1). */
     uint64_t queuedElements() const;
 
     /** Total requests ever accepted by push(). */
@@ -163,7 +175,15 @@ class BatchQueue
   private:
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::deque<Request> queue_;
+    /** (TableKey::hash, tenant): requests that may share a wave. */
+    using LaneKey = std::pair<uint64_t, uint64_t>;
+    using Lanes = std::map<LaneKey, std::deque<Request>>;
+
+    Lanes lanes_; ///< non-empty FIFO lanes only
+    /** Head request id -> its lane; begin() is the oldest request. */
+    std::map<uint64_t, Lanes::iterator> heads_;
+    size_t depth_ = 0;
+    uint64_t queuedElements_ = 0;
     bool closed_ = false;
     uint64_t nextId_ = 1;
     uint64_t totalPushed_ = 0;

@@ -10,9 +10,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "pimsim/serve/pipeline.h"
 #include "pimsim/topology.h"
 #include "transpim/harness.h"
@@ -160,6 +163,209 @@ TEST(BatchQueue, ConcurrentProducersLoseNothing)
     }
     EXPECT_EQ(elements, 4u * kProducers * kPerProducer);
     EXPECT_GE(waves, elements / 64);
+}
+
+namespace {
+
+/**
+ * Reference oracle: the single-deque FIFO sweep the queue used before
+ * its per-(table, tenant) lanes. Each wave adopts the front request's
+ * key and tenant and sweeps the whole deque, erasing matches from the
+ * middle. Kept here so the lane layout is held to the same waves.
+ */
+class SweepOracle
+{
+  public:
+    void
+    push(serve::Request request)
+    {
+        request.id = nextId_++;
+        queue_.push_back(std::move(request));
+    }
+
+    std::optional<serve::Wave>
+    popWave(uint64_t maxElements)
+    {
+        if (queue_.empty())
+            return std::nullopt;
+        const uint64_t budget = std::max<uint64_t>(maxElements, 1);
+        serve::Wave wave;
+        wave.table = queue_.front().table;
+        wave.tenant = queue_.front().tenant;
+        uint64_t taken = 0;
+        bool partial = false;
+        for (auto it = queue_.begin(); it != queue_.end();) {
+            if (!(it->table == wave.table) || it->tenant != wave.tenant) {
+                ++it;
+                continue;
+            }
+            if (it->elements == 0) {
+                ++wave.requestsClosed;
+                zerosClosedBehindPartial += partial ? 1 : 0;
+                it = queue_.erase(it);
+                continue;
+            }
+            if (taken == budget)
+                break;
+            uint64_t take = std::min(it->elements, budget - taken);
+            const bool wholeTail = take == it->elements;
+            wave.items.push_back({it->id, it->input, it->output, take,
+                                  it->arrivalSeconds, wholeTail});
+            taken += take;
+            if (wholeTail) {
+                ++wave.requestsClosed;
+                it = queue_.erase(it);
+            } else {
+                it->input += take;
+                it->output += take;
+                it->elements -= take;
+                partial = true;
+                ++it;
+            }
+        }
+        return wave;
+    }
+
+    size_t depth() const { return queue_.size(); }
+
+    uint64_t
+    queuedElements() const
+    {
+        uint64_t n = 0;
+        for (const serve::Request& r : queue_)
+            n += r.elements;
+        return n;
+    }
+
+    /** Zero-element requests closed after a partial take in the same
+     * wave: the case a lane must handle behind its partial head. */
+    uint64_t zerosClosedBehindPartial = 0;
+
+  private:
+    std::deque<serve::Request> queue_;
+    uint64_t nextId_ = 1;
+};
+
+::testing::AssertionResult
+sameWave(const std::optional<serve::Wave>& want,
+         const std::optional<serve::Wave>& got)
+{
+    if (want.has_value() != got.has_value())
+        return ::testing::AssertionFailure()
+               << "oracle wave " << want.has_value() << ", queue wave "
+               << got.has_value();
+    if (!want)
+        return ::testing::AssertionSuccess();
+    if (want->table.hash != got->table.hash ||
+        want->table.label != got->table.label ||
+        want->tenant != got->tenant)
+        return ::testing::AssertionFailure()
+               << "wave key " << want->table.label << "/" << want->tenant
+               << " vs " << got->table.label << "/" << got->tenant;
+    if (want->requestsClosed != got->requestsClosed)
+        return ::testing::AssertionFailure()
+               << "requestsClosed " << want->requestsClosed << " vs "
+               << got->requestsClosed;
+    if (want->items.size() != got->items.size())
+        return ::testing::AssertionFailure()
+               << "items " << want->items.size() << " vs "
+               << got->items.size();
+    for (size_t i = 0; i < want->items.size(); ++i) {
+        const serve::WaveItem& a = want->items[i];
+        const serve::WaveItem& b = got->items[i];
+        if (a.requestId != b.requestId || a.input != b.input ||
+            a.output != b.output || a.elements != b.elements ||
+            a.arrivalSeconds != b.arrivalSeconds || a.last != b.last)
+            return ::testing::AssertionFailure()
+                   << "item " << i << ": request " << a.requestId
+                   << " vs " << b.requestId << ", elements "
+                   << a.elements << " vs " << b.elements << ", last "
+                   << a.last << " vs " << b.last;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(BatchQueue, LanesMatchTheFifoSweepWaveForWave)
+{
+    constexpr uint64_t kKeys = 8;
+    constexpr uint64_t kTenants = 4;
+    constexpr uint64_t kRequests = 12000;
+    const uint64_t budgets[] = {0, 1, 7, 64, 4096};
+
+    SplitMix64 rng(0x5eed14);
+    std::vector<float> in(16384), out(16384);
+    serve::BatchQueue queue;
+    SweepOracle oracle;
+    uint64_t pushed = 0;
+    uint64_t pops = 0;
+    uint64_t partialWaves = 0;
+
+    auto pushOne = [&](uint64_t key, uint64_t tenant,
+                       uint64_t elements) {
+        serve::Request r = makeRequest(
+            keyOf(key), in.data() + rng.next() % 4096,
+            out.data() + rng.next() % 4096, elements);
+        r.tenant = tenant;
+        r.arrivalSeconds = rng.nextUnitDouble();
+        oracle.push(r);
+        ASSERT_EQ(queue.push(std::move(r)), pushed + 1);
+        ++pushed;
+    };
+    auto popBoth = [&] {
+        const uint64_t budget = budgets[rng.next() % 5];
+        std::optional<serve::Wave> want = oracle.popWave(budget);
+        std::optional<serve::Wave> got = queue.popWave(budget);
+        ASSERT_TRUE(sameWave(want, got))
+            << "pop " << pops << " with budget " << budget;
+        if (want && !want->items.empty() && !want->items.back().last)
+            ++partialWaves;
+        ASSERT_EQ(queue.depth(), oracle.depth()) << "pop " << pops;
+        ASSERT_EQ(queue.queuedElements(), oracle.queuedElements())
+            << "pop " << pops;
+        ++pops;
+    };
+
+    while (pushed < kRequests) {
+        const uint64_t burst = 1 + rng.next() % 16;
+        for (uint64_t i = 0; i < burst; ++i) {
+            const uint64_t key = 1 + rng.next() % kKeys;
+            const uint64_t tenant = rng.next() % kTenants;
+            const uint64_t kind = rng.next() % 20;
+            uint64_t elements = 1 + rng.next() % 24;
+            if (kind < 3)
+                elements = 0;
+            else if (kind == 3)
+                elements = 4097 + rng.next() % 4096; // over any budget
+            pushOne(key, tenant, elements);
+            if (kind == 4) {
+                // An oversized request with zero-element requests of
+                // its own lane right behind it.
+                pushOne(key, tenant, 5000);
+                pushOne(key, tenant, 0);
+                pushOne(key, tenant, 0);
+            }
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        const size_t keep = rng.next() % 512;
+        while (oracle.depth() > keep) {
+            popBoth();
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+    queue.close();
+    while (oracle.depth() > 0) {
+        popBoth();
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_FALSE(queue.popWave(64).has_value());
+    EXPECT_EQ(queue.totalPushed(), pushed);
+    EXPECT_GT(partialWaves, 0u);
+    EXPECT_GT(oracle.zerosClosedBehindPartial, 0u);
 }
 
 // ---------------------------------------------------------------------

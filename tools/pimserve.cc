@@ -34,6 +34,9 @@
  *                          --demo-requests requests (default
  *                          1000000) built in memory.
  *   --demo-requests N      size of the synthetic demo replay
+ *                          (8-24 elements per request; a size
+ *                          whose trace exceeds 2^26 elements in
+ *                          total is a usage error)
  *   --topology DxRxP       fleet topology (e.g. 20x2x64: 20 DIMMs x
  *                          2 ranks x 64 DPUs); implies
  *                          --dpus D*R*P and per-rank scheduling
@@ -75,8 +78,8 @@
  * --slo target, if given, was met, and no tuned stream ended on a
  * candidate violating its SLA), 1 when elements were dropped /
  * infeasible / the run is incomplete / the SLO or an SLA was missed,
- * 2 on usage or parse errors (a trace over 2^26 elements in total
- * included).
+ * 2 on usage or parse errors (a trace file or a --demo-requests
+ * demo trace over 2^26 elements in total included).
  */
 
 #include <algorithm>
@@ -139,6 +142,13 @@ const char* kDemoTrace =
     "request function=exp method=llut elements=32768\n"
     "request function=exp method=llut elements=32768\n";
 
+/** Elements of request @p i of the synthetic demo replay trace. */
+uint32_t
+demoReplayElements(uint32_t i)
+{
+    return 8 + i % 17;
+}
+
 /** Build the synthetic demo-replay trace: @p requests small
  * inference-style requests over four llut configs. Requests arrive
  * grouped into eight same-config phases (two passes over the four
@@ -169,7 +179,7 @@ demoReplayTrace(uint32_t requests)
         TraceRequest req;
         req.function = cfg.function;
         req.spec.method = cfg.method;
-        req.elements = 8 + i % 17;
+        req.elements = demoReplayElements(i);
         trace.push_back(req);
     }
     return trace;
@@ -448,8 +458,14 @@ main(int argc, char** argv)
 
     std::vector<TraceRequest> trace;
     if (replayDemo) {
-        trace =
-            demoReplayTrace(demoRequests ? demoRequests : 1000000u);
+        const uint32_t requests = demoRequests ? demoRequests : 1000000u;
+        if (!fitsTraceCap(requests, demoReplayElements)) {
+            std::cerr << "pimserve: --demo-requests " << requests
+                      << ": demo trace exceeds " << kMaxTraceElements
+                      << " elements\n";
+            return 2;
+        }
+        trace = demoReplayTrace(requests);
     } else {
         if (!loadTrace("pimserve", tracePath, trace))
             return 2;

@@ -32,7 +32,9 @@
  *                        exp/CORDIC, with 4:2:1 Zipfian-ish
  *                        popularity. Installs demo SLAs
  *                        (1:rmse<8e-8, 2:rmse<1e-3, 3:rmse<1e-3)
- *                        unless --tenant-sla is given.
+ *                        unless --tenant-sla is given. An N
+ *                        whose trace exceeds 2^26 elements in
+ *                        total (8-36 per request) is a usage error.
  *   --tenant-sla T:SPEC  SLA for tenant T ('*' = default SLA applied
  *                        to tenants without their own; repeatable).
  *                        SPEC grammar: docs/autotuner.md, e.g.
@@ -53,7 +55,7 @@
  * Exit status: 0 when all three replays completed and every
  * SLA-constrained tenant's online ground-truth error meets its
  * accuracy clauses, 1 otherwise, 2 on usage/parse errors (a trace
- * over 2^26 elements in total included).
+ * file or --demo trace over 2^26 elements in total included).
  */
 
 #include <algorithm>
@@ -99,6 +101,13 @@ usage()
            "example: pimtune --demo 400 --tenant-sla '2:rmse<1e-3'\n";
 }
 
+/** Elements of request @p i of the built-in demo trace. */
+uint32_t
+demoElements(uint32_t i)
+{
+    return 8 + (i * 5) % 29;
+}
+
 /** The built-in mixed-tenant trace: a strict and a lax tenant share
  * sin's most accurate configuration (fixed-point CORDIC), a third
  * lax tenant runs exp/CORDIC; popularity 4:2:1. The strict SLA is
@@ -126,7 +135,7 @@ demoTrace(uint32_t requests)
             req.function = Function::Exp;
             req.spec.method = Method::Cordic;
         }
-        req.elements = 8 + (i * 5) % 29;
+        req.elements = demoElements(i);
         trace.push_back(req);
     }
     return trace;
@@ -294,6 +303,12 @@ main(int argc, char** argv)
 
     std::vector<TraceRequest> trace;
     if (demo) {
+        if (!fitsTraceCap(demoRequests, demoElements)) {
+            std::cerr << "pimtune: --demo " << demoRequests
+                      << ": demo trace exceeds " << kMaxTraceElements
+                      << " elements\n";
+            return 2;
+        }
         trace = demoTrace(demoRequests);
         if (!anySlaArg) {
             sim::serve::TenantSla sla;

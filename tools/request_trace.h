@@ -46,6 +46,25 @@ struct TraceRequest
 constexpr uint64_t kMaxTraceElements = uint64_t{1} << 26;
 
 /**
+ * True iff a generated trace of @p requests requests, request i
+ * carrying @p elementsOf(i) elements, stays within kMaxTraceElements.
+ * Counts without building the trace and stops once past the cap, so
+ * a hostile request count is rejected before anything is allocated.
+ */
+template <class ElementsOf>
+bool
+fitsTraceCap(uint32_t requests, ElementsOf elementsOf)
+{
+    uint64_t total = 0;
+    for (uint32_t i = 0; i < requests; ++i) {
+        total += elementsOf(i);
+        if (total > kMaxTraceElements)
+            return false;
+    }
+    return true;
+}
+
+/**
  * Read the trace file at @p path into @p trace. On a bad line, a
  * line that takes the trace past kMaxTraceElements, an unreadable
  * file or a file without requests, prints `<tool>: <path>:<line>:
