@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks: host-side wall-clock throughput of
  * every method's evaluation routine (no cost model, no simulation),
- * plus the serve front-end's BatchQueue push/pop at several depths.
+ * plus the serve front-end's BatchQueue push/pop at several depths and
+ * its table build/placement step (EvaluatorCatalog::provider()).
  *
  * These numbers measure the *simulator's* own speed, not the modeled
  * PIM system - useful for tracking regressions in the numeric kernels
@@ -17,7 +18,9 @@
 
 #include "common/rng.h"
 #include "pimsim/serve/batch_queue.h"
+#include "pimsim/system.h"
 #include "transpim/evaluator.h"
+#include "transpim/serve_glue.h"
 
 namespace {
 
@@ -130,6 +133,45 @@ BM_BatchQueue_PushPop(benchmark::State& state)
     state.SetItemsProcessed(closed);
 }
 
+/**
+ * EvaluatorCatalog::provider() realizing one configuration on a
+ * system of state.range(0) DPUs: the table generation plus a copy
+ * placed on every core, i.e. the serve layer's table-build/broadcast
+ * step on a cache miss. state.range(1) picks the configuration:
+ * 0 = interpolated sin L-LUT in WRAM, 1 = interpolated tanh M-LUT in
+ * MRAM, both 2^12 entries. The system is built once; its allocators
+ * are reset between iterations outside the timed region.
+ */
+void
+BM_TableProvider(benchmark::State& state)
+{
+    namespace serve = tpl::sim::serve;
+    const bool mram = state.range(1) != 0;
+    MethodSpec spec;
+    spec.method = mram ? Method::MLut : Method::LLut;
+    spec.placement = mram ? Placement::Mram : Placement::Wram;
+    spec.interpolated = true;
+    spec.log2Entries = 12;
+    EvaluatorCatalog catalog;
+    serve::TableKey key =
+        catalog.add(mram ? Function::Tanh : Function::Sin, spec);
+    serve::TableProvider provider = catalog.provider();
+    tpl::sim::PimSystem sys(static_cast<uint32_t>(state.range(0)));
+    for (auto _ : state) {
+        serve::TableBinding binding = provider(key, sys);
+        if (!binding.valid) {
+            state.SkipWithError("configuration is infeasible");
+            break;
+        }
+        benchmark::DoNotOptimize(binding.tableBytes);
+        state.PauseTiming();
+        binding = {};
+        for (uint32_t d = 0; d < sys.numDpus(); ++d)
+            sys.dpu(d).resetAllocators();
+        state.ResumeTiming();
+    }
+}
+
 BENCHMARK(BM_Sin_Cordic);
 BENCHMARK(BM_Sin_CordicLut);
 BENCHMARK(BM_Sin_MLut);
@@ -143,6 +185,10 @@ BENCHMARK(BM_Gelu_DlLut);
 BENCHMARK(BM_BatchQueue_PushPop)
     ->ArgNames({"depth", "budget"})
     ->ArgsProduct({{1000, 10000, 100000}, {64, 1 << 20}});
+BENCHMARK(BM_TableProvider)
+    ->ArgNames({"dpus", "mram"})
+    ->ArgsProduct({{64, 20 * 2 * 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -18,6 +18,10 @@
 
 namespace tpl {
 
+namespace sim {
+class TaskletContext; // pimsim/dpu.h
+} // namespace sim
+
 /**
  * Classes of high-level operations the library executes. Emulated
  * routines report one event per operation *in addition to* their
@@ -158,6 +162,14 @@ class InstrSink
         for (uint64_t i = 0; i < n; ++i)
             note(op);
     }
+
+    /**
+     * The simulator tasklet this sink is, or nullptr for host-side
+     * sinks. Placed table reads resolve the running core (its WRAM
+     * and DMA model) through this hook: one virtual call instead of a
+     * dynamic_cast per read.
+     */
+    virtual sim::TaskletContext* tasklet() { return nullptr; }
 };
 
 /** Charge helper tolerating a null sink. */
@@ -340,6 +352,13 @@ class SinkRef
 
     /** The wrapped sink (may be null). */
     InstrSink* raw() const { return sink_; }
+
+    /** The simulator tasklet behind the wrapped sink, if any. */
+    sim::TaskletContext*
+    tasklet() const
+    {
+        return sink_ ? sink_->tasklet() : nullptr;
+    }
 
   private:
     InstrSink* sink_;

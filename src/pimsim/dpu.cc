@@ -190,6 +190,15 @@ DpuCore::resetAllocators()
     wramTop_ = 0;
 }
 
+void
+DpuCore::releaseTo(AllocMark mark)
+{
+    if (mark.mram > mramTop_ || mark.wram > wramTop_)
+        throw std::logic_error("releaseTo: mark above allocator top");
+    mramTop_ = mark.mram;
+    wramTop_ = mark.wram;
+}
+
 uint64_t
 DpuCore::accountDma(uint32_t size)
 {

@@ -156,7 +156,11 @@ class TaskletContext : public InstrSink
     /** Total DMA latency cycles this tasklet has stalled for. */
     uint64_t dmaStallCycles() const { return dmaStall_; }
 
-    /** The owning core (for WRAM/MRAM region queries). */
+    /** This context is a tasklet (InstrSink hook). */
+    TaskletContext* tasklet() override { return this; }
+
+    /** The core this tasklet runs on: placed tables shared by many
+     * cores read their WRAM copy through it. */
     DpuCore& core() { return core_; }
 
   private:
@@ -333,6 +337,24 @@ class DpuCore
 
     /** Reset both allocators (new kernel program). */
     void resetAllocators();
+
+    /** Both allocator tops, taken to undo later allocations. */
+    struct AllocMark
+    {
+        uint32_t mram = 0;
+        uint32_t wram = 0;
+    };
+
+    /** The allocators' current state. */
+    AllocMark allocMark() const { return {mramTop_, wramTop_}; }
+
+    /**
+     * Free everything allocated since @p mark was taken (the bump
+     * allocators free in LIFO order), e.g. to roll back a placement
+     * that failed halfway.
+     * @throws std::logic_error if @p mark lies above a current top.
+     */
+    void releaseTo(AllocMark mark);
 
     /** Bytes of MRAM currently allocated (paper's Figure 7 metric). */
     uint32_t mramAllocated() const { return mramTop_; }

@@ -73,26 +73,33 @@ struct WaveExec
     std::vector<ShardTask> slices; ///< one per participating DPU
     std::vector<uint64_t> itemStart; ///< wave-relative item offsets
     std::vector<WaveReq> reqs; ///< unique requests, item order
+    std::vector<uint32_t> itemReq; ///< each item's index into reqs
     WaveStats stats;
     PipelineEvent scatterEv;
     PipelineEvent computeEv;
 };
 
 /** Collapse a wave's items into per-request shares, first-appearance
- * item order. */
+ * item order. With @p itemReq, also record each item's index into the
+ * returned shares. */
 std::vector<WaveReq>
-collectWaveReqs(const Wave& w)
+collectWaveReqs(const Wave& w, std::vector<uint32_t>* itemReq = nullptr)
 {
     std::vector<WaveReq> reqs;
     // Index by request id so a wave of many thousands of items stays
     // linear; output order is still first appearance in item order.
-    std::unordered_map<uint64_t, size_t> index;
+    std::unordered_map<uint64_t, uint32_t> index;
     index.reserve(w.items.size());
+    if (itemReq)
+        itemReq->clear();
     for (const WaveItem& it : w.items) {
-        auto [pos, fresh] = index.try_emplace(it.requestId, reqs.size());
+        auto [pos, fresh] = index.try_emplace(
+            it.requestId, static_cast<uint32_t>(reqs.size()));
         if (fresh)
             reqs.push_back(
                 {it.requestId, 0, false, it.arrivalSeconds});
+        if (itemReq)
+            itemReq->push_back(pos->second);
         WaveReq& r = reqs[pos->second];
         r.elements += it.elements;
         r.last = r.last || it.last;
@@ -646,7 +653,7 @@ ServePipeline::run(BatchQueue& queue)
         // Per-request span accounting (post-split, so every element
         // is attributed to exactly the wave that carries it).
         if (trackReqs) {
-            ex.reqs = collectWaveReqs(ex.wave);
+            ex.reqs = collectWaveReqs(ex.wave, &ex.itemReq);
             const double waveXfer =
                 ex.stats.broadcastSeconds + ex.stats.scatterSeconds;
             for (const WaveReq& r : ex.reqs) {
@@ -797,73 +804,64 @@ ServePipeline::run(BatchQueue& queue)
         Wave retry;
         retry.table = ex.wave.table;
         retry.tenant = ex.wave.tenant;
-        // Visit every (item, overlap) of the wave-relative range
-        // [lo, hi): waveOff is the overlap's start in wave space,
-        // itemOff the same point relative to the item's own spans.
-        auto forEachItemRange =
-            [&](uint64_t lo, uint64_t hi,
-                const std::function<void(const WaveItem&,
-                                         uint64_t waveOff,
-                                         uint64_t itemOff,
-                                         uint64_t count)>& fn) {
-                for (size_t i = 0; i < ex.wave.items.size(); ++i) {
-                    uint64_t a = ex.itemStart[i];
-                    uint64_t b = a + ex.wave.items[i].elements;
-                    uint64_t s = std::max(lo, a);
-                    uint64_t e = std::min(hi, b);
-                    if (s < e)
-                        fn(ex.wave.items[i], s, s - a, e - s);
-                }
-            };
-        std::map<uint64_t, uint64_t> gatheredByReq;
+        // Slices and items both run in wave-offset order, so one
+        // two-pointer walk visits every (slice, item) overlap: `first`
+        // is the first item that ends after the current slice starts.
+        const std::vector<WaveItem>& items = ex.wave.items;
+        std::vector<uint64_t> gathered(trackReqs ? ex.reqs.size() : 0);
         std::vector<WaveOutcome::Span> tuneSpans;
+        size_t first = 0;
         for (const ShardTask& t : ex.slices) {
-            uint64_t lo = t.firstElement;
-            uint64_t hi = lo + t.elements;
-            if (!sys_.isMasked(t.dpu)) {
-                forEachItemRange(
-                    lo, hi,
-                    [&](const WaveItem& it, uint64_t waveOff,
-                        uint64_t itemOff, uint64_t count) {
-                        std::memcpy(it.output + itemOff,
-                                    stagingOut.data() + waveOff,
-                                    count * sizeof(float));
-                        if (trackReqs)
-                            gatheredByReq[it.requestId] += count;
-                        if (opts_.autoTuner)
-                            tuneSpans.push_back(
-                                {it.input + itemOff,
-                                 it.output + itemOff, count});
-                    });
-            } else {
+            const uint64_t lo = t.firstElement;
+            const uint64_t hi = lo + t.elements;
+            const bool failed = sys_.isMasked(t.dpu);
+            if (failed) {
                 ++ex.stats.retriedSlices;
                 noteFailedDpu(t.dpu);
-                forEachItemRange(
-                    lo, hi,
-                    [&](const WaveItem& it, uint64_t /*waveOff*/,
-                        uint64_t itemOff, uint64_t count) {
-                        // The tail flag survives a retry only if the
-                        // retried range still covers the item's tail.
-                        retry.items.push_back(
-                            {it.requestId, it.input + itemOff,
-                             it.output + itemOff, count,
-                             it.arrivalSeconds,
-                             it.last &&
-                                 itemOff + count == it.elements});
-                    });
+            }
+            while (first < items.size() &&
+                   ex.itemStart[first] + items[first].elements <= lo)
+                ++first;
+            for (size_t i = first;
+                 i < items.size() && ex.itemStart[i] < hi; ++i) {
+                const WaveItem& it = items[i];
+                const uint64_t a = ex.itemStart[i];
+                const uint64_t s = std::max(lo, a);
+                const uint64_t e = std::min(hi, a + it.elements);
+                if (s >= e)
+                    continue; // zero-element item
+                const uint64_t itemOff = s - a;
+                const uint64_t count = e - s;
+                if (!failed) {
+                    std::memcpy(it.output + itemOff,
+                                stagingOut.data() + s,
+                                count * sizeof(float));
+                    if (trackReqs)
+                        gathered[ex.itemReq[i]] += count;
+                    if (opts_.autoTuner)
+                        tuneSpans.push_back({it.input + itemOff,
+                                             it.output + itemOff,
+                                             count});
+                } else {
+                    // The tail flag survives a retry only if the
+                    // retried range still covers the item's tail.
+                    retry.items.push_back(
+                        {it.requestId, it.input + itemOff,
+                         it.output + itemOff, count, it.arrivalSeconds,
+                         it.last && itemOff + count == it.elements});
+                }
             }
         }
 
         if (trackReqs)
-            for (const WaveReq& r : ex.reqs) {
+            for (size_t k = 0; k < ex.reqs.size(); ++k) {
+                const WaveReq& r = ex.reqs[k];
                 ReqAcc& acc = accFor(r, ex.wave.table);
                 acc.transferSeconds += gatherEv.seconds();
                 jev("gather", gatherEv.start, gatherEv.seconds(),
                     r.id, ex.waveIndex, r.elements, 0, rank,
                     ex.wave.table.label);
-                auto g = gatheredByReq.find(r.id);
-                if (g != gatheredByReq.end())
-                    acc.elementsDone += g->second;
+                acc.elementsDone += gathered[k];
                 if (!acc.complete && acc.sawLast &&
                     acc.elementsTotal > 0 &&
                     acc.elementsDone == acc.elementsTotal) {

@@ -97,7 +97,7 @@ OnlineAutoTuner::decisions() const
     return decisions_;
 }
 
-std::optional<uint32_t>
+std::optional<FunctionEvaluator>
 OnlineAutoTuner::probeSpec(Function f, const MethodSpec& spec)
 {
     // A full create + attach dry run on a scratch core: a candidate
@@ -108,7 +108,7 @@ OnlineAutoTuner::probeSpec(Function f, const MethodSpec& spec)
             probeSys_ = std::make_unique<sim::PimSystem>(1);
         FunctionEvaluator ev = FunctionEvaluator::create(f, spec);
         ev.attach(probeSys_->dpu(0));
-        return ev.memoryBytes();
+        return ev;
     } catch (const std::exception&) {
         // Scratch MRAM is a bump arena; a failed attach may mean the
         // arena filled up across many probes — retire it so the next
@@ -131,10 +131,11 @@ OnlineAutoTuner::buildCandidates(Stream& s)
     base.spec = entry->second;
     base.relativeError =
         resolveMetric(base.function) == ErrorMetric::Relative;
-    auto baseBytes = probeSpec(base.function, base.spec);
-    if (!baseBytes)
+    std::optional<FunctionEvaluator> baseEval =
+        probeSpec(base.function, base.spec);
+    if (!baseEval)
         return; // infeasible as requested: the pipeline drops it
-    base.tableBytes = *baseBytes;
+    base.tableBytes = baseEval->memoryBytes();
 
     // Accuracy target the candidates must meet: the SLA's rmse
     // clause, or (with none) the requested configuration's own
@@ -146,24 +147,17 @@ OnlineAutoTuner::buildCandidates(Stream& s)
         auto inputs = uniformFloats(
             opts_.searchSamples, static_cast<float>(dom.lo),
             static_cast<float>(dom.hi), kSampleSeed);
-        try {
-            FunctionEvaluator ev =
-                FunctionEvaluator::create(base.function, base.spec);
-            double sumSq = 0.0;
-            for (float x : inputs) {
-                double ref = referenceValue(
-                    base.function, static_cast<double>(x));
-                double err =
-                    std::abs(ev.eval(x, nullptr) - ref);
-                if (base.relativeError)
-                    err /= std::max(1.0, std::abs(ref));
-                sumSq += err * err;
-            }
-            target = std::sqrt(sumSq / static_cast<double>(
-                                           inputs.size()));
-        } catch (const std::exception&) {
-            return;
+        double sumSq = 0.0;
+        for (float x : inputs) {
+            double ref =
+                referenceValue(base.function, static_cast<double>(x));
+            double err = std::abs(baseEval->eval(x, nullptr) - ref);
+            if (base.relativeError)
+                err /= std::max(1.0, std::abs(ref));
+            sumSq += err * err;
         }
+        target =
+            std::sqrt(sumSq / static_cast<double>(inputs.size()));
         s.implicitRmse = target * kImplicitRmseSlack;
         if (target <= 0.0)
             target = 1e-12; // exact config: only equals can compete
@@ -188,15 +182,15 @@ OnlineAutoTuner::buildCandidates(Stream& s)
                 dup = dup || c.key.hash == key.hash;
             if (dup)
                 continue;
-            auto bytes = probeSpec(base.function, tcand.spec);
-            if (!bytes)
+            auto probe = probeSpec(base.function, tcand.spec);
+            if (!probe)
                 continue;
             catalog_.add(base.function, tcand.spec);
             Candidate c;
             c.key = key;
             c.function = base.function;
             c.spec = tcand.spec;
-            c.tableBytes = *bytes;
+            c.tableBytes = probe->memoryBytes();
             c.relativeError = base.relativeError;
             s.candidates.push_back(c);
         }

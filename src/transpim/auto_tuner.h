@@ -184,9 +184,10 @@ class OnlineAutoTuner final : public sim::serve::AutoTuner
     Stream& streamFor(const sim::serve::TableKey& requested,
                       uint64_t tenant);
     void buildCandidates(Stream& s);
-    /** Probe (create + attach) @p spec; per-DPU bytes, or nullopt. */
-    std::optional<uint32_t> probeSpec(Function f,
-                                      const MethodSpec& spec);
+    /** Probe (create + attach to a scratch core) @p spec: the
+     * evaluator, or nullopt when infeasible. */
+    std::optional<FunctionEvaluator> probeSpec(Function f,
+                                               const MethodSpec& spec);
     /** Observed cycles/element of @p c under the stream's cycles
      * clause (mean, or the SLA percentile). */
     double cyclesScore(const Stream& s, const Candidate& c) const;

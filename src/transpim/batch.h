@@ -9,10 +9,11 @@
  * canonical-NaN-patched — bit-identical by the locked differential
  * property), and the accumulated totals are flushed to the real
  * InstrSink once per batch through the bulk chargeClassN/noteN hooks.
- * MRAM table reads still go through the tasklet's DMA model per
- * element (same DMA event sequence, so fault injection and DMA-engine
- * occupancy are unchanged); BatchSink caches the TaskletContext*
- * lookup once per batch instead of one dynamic_cast per read.
+ * Table reads still go through the running tasklet per element: MRAM
+ * reads through its DMA model (same DMA event sequence, so fault
+ * injection and DMA-engine occupancy are unchanged), WRAM reads
+ * through its core's scratchpad. BatchSink resolves the
+ * TaskletContext* once per batch instead of once per read.
  */
 
 #ifndef TPL_TRANSPIM_BATCH_H
@@ -65,15 +66,15 @@ struct BatchStats
 /**
  * The batch path's Sink: a BatchTally plus the underlying InstrSink
  * (for the once-per-batch flush) and its cached TaskletContext view
- * (for DMA-modelled MRAM reads). Opts into the softfloat fast-value
- * lane.
+ * (for placed table reads: the core's WRAM, the DMA-modelled MRAM).
+ * Opts into the softfloat fast-value lane.
  */
 class BatchSink
 {
   public:
     /** Sinks may be null (value-only evaluation, like a null sink). */
     explicit BatchSink(InstrSink* real)
-        : real_(real), ctx_(dynamic_cast<sim::TaskletContext*>(real))
+        : real_(real), ctx_(real ? real->tasklet() : nullptr)
     {}
 
     BatchSink(const BatchSink&) = delete;

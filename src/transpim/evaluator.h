@@ -187,12 +187,32 @@ class FunctionEvaluator
     /** Measured host-side table-generation time in seconds. */
     double setupSeconds() const { return setupSeconds_; }
 
-    /** Transfer all tables to a simulated core. */
+    /**
+     * Transfer all tables to a simulated core. One evaluator may be
+     * attached to many cores: each gets its own copy of the tables
+     * generated once by create(), and a kernel reads the copy on the
+     * core its tasklet runs on. Every core must receive the copies at
+     * the same WRAM/MRAM offsets, i.e. attach to cores whose
+     * allocators are in the same state (a fresh PimSystem, or cores
+     * that have seen the same allocations). Attaching is
+     * all-or-nothing per core: when it throws, every table it placed
+     * on @p core is released again.
+     * @throws std::bad_alloc when a table does not fit.
+     * @throws std::logic_error when a table's offset on @p core differs
+     *         from the cores attached before.
+     */
     void
     attach(sim::DpuCore& core)
     {
-        if (attach_)
+        if (!attach_)
+            return;
+        const sim::DpuCore::AllocMark mark = core.allocMark();
+        try {
             attach_(core);
+        } catch (...) {
+            core.releaseTo(mark);
+            throw;
+        }
     }
 
     Function function() const { return fn_; }

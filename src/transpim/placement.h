@@ -3,10 +3,15 @@
  * Table storage with WRAM/MRAM placement and access-cost accounting.
  *
  * Every LUT-based method (and the CORDIC angle tables) stores its
- * entries through LutStore. The store owns the authoritative host-side
- * copy generated at setup time; attach() places a copy into a simulated
- * DPU's scratchpad (WRAM) or DRAM bank (MRAM), after which reads charge
- * the corresponding access cost:
+ * entries through LutStore. The store owns the one authoritative
+ * host-side copy generated at setup time; attach() places a copy into
+ * a simulated DPU's scratchpad (WRAM) or DRAM bank (MRAM). As in the
+ * paper's usage model, the host generates a table once and transfers
+ * it to every PIM core: one store may be attached to any number of
+ * cores, each of which then holds its own copy at the same offset
+ * (attach() enforces that common-offset rule). Kernel-side reads
+ * resolve the core through the running tasklet, so a tasklet reads its
+ * own core's copy, and charge the placement's access cost:
  *
  *  - WRAM: one pipelined load plus address arithmetic.
  *  - MRAM: an 8-byte-aligned DMA transfer through the DPU's DMA model
@@ -55,11 +60,10 @@ placementName(Placement p)
 }
 
 /**
- * Resolve the simulator tasklet context behind a Sink, for DMA-modelled
- * MRAM table reads. Batch sinks cache the TaskletContext* once per
- * batch and expose it as tasklet(); the InstrSink*-backed sinks
- * (SinkRef) fall back to a dynamic_cast per read, which is exactly what
- * the scalar path always did.
+ * Resolve the simulator tasklet behind a Sink, for placed table reads.
+ * Batch sinks resolve their TaskletContext* once per batch; SinkRef
+ * asks the wrapped InstrSink (one virtual call); sinks with no
+ * InstrSink behind them (NullSink, BatchTally) have no tasklet.
  */
 template <class S>
 inline sim::TaskletContext*
@@ -68,7 +72,7 @@ lutTasklet(S& sink)
     if constexpr (requires { sink.tasklet(); })
         return sink.tasklet();
     else
-        return dynamic_cast<sim::TaskletContext*>(sink.raw());
+        return nullptr;
 }
 
 /**
@@ -98,29 +102,42 @@ class LutStore
     const std::vector<T>& host() const { return entries_; }
 
     /**
-     * Copy the table into @p core at its configured placement.
+     * Copy the table into @p core at its configured placement. A store
+     * may be attached to many cores, but its copy must land at the
+     * same WRAM/MRAM offset on each: reads address every core's copy
+     * through that one offset.
      * @throws std::bad_alloc when the memory region cannot hold it.
+     * @throws std::logic_error when the copy would land at a different
+     *         offset than on the cores attached before (the allocation
+     *         on @p core stays; FunctionEvaluator::attach releases it).
      */
     void
     attach(sim::DpuCore& core)
     {
-        core_ = &core;
+        uint32_t addr = 0;
         switch (placement_) {
           case Placement::Host:
             break;
           case Placement::Wram:
-            addr_ = core.wramAlloc(bytes());
-            std::memcpy(core.wramData() + addr_, entries_.data(), bytes());
+            addr = core.wramAlloc(bytes());
             break;
           case Placement::Mram:
-            addr_ = core.mramAlloc(bytes());
-            core.hostWriteMram(addr_, entries_.data(), bytes());
+            addr = core.mramAlloc(bytes());
             break;
         }
+        if (attached_ && addr != addr_)
+            throw std::logic_error(
+                "LutStore::attach: table offset differs between cores");
+        if (placement_ == Placement::Wram)
+            std::memcpy(core.wramData() + addr, entries_.data(), bytes());
+        else if (placement_ == Placement::Mram)
+            core.hostWriteMram(addr, entries_.data(), bytes());
+        attached_ = true;
+        addr_ = addr;
     }
 
     /** True once attach() has run against a core. */
-    bool attached() const { return core_ != nullptr; }
+    bool attached() const { return attached_; }
 
     /**
      * Read entry @p index, charging the placement-specific cost
@@ -134,34 +151,41 @@ class LutStore
         if (index >= entries_.size())
             throw std::out_of_range("LutStore index");
         sink.note(OpClass::TableRead);
-        if (core_ == nullptr || placement_ == Placement::Host) {
+        if (!attached_ || placement_ == Placement::Host) {
             // Host-side evaluation: charge the WRAM-equivalent cost so
             // instruction counts stay comparable in pure-host tests.
             sink.charge(2);
             return entries_[index];
         }
+        // A tasklet reads its own core's copy. A read with no tasklet
+        // behind the sink (host-side evaluation of an attached table)
+        // charges the placement's cost but reads the host copy, which
+        // every core's copy was made from.
+        sim::TaskletContext* ctx = lutTasklet(sink);
         if (placement_ == Placement::Wram) {
             // Address arithmetic plus one pipelined WRAM load.
             sink.charge(2);
+            if (!ctx)
+                return entries_[index];
             T value;
-            std::memcpy(&value, core_->wramData() + addr_ +
-                                    index * sizeof(T),
+            std::memcpy(&value,
+                        ctx->core().wramData() + addr_ +
+                            index * sizeof(T),
                         sizeof(T));
             return value;
+        }
+        if (!ctx) {
+            // No DMA model available: approximate the stall as
+            // instructions so costs remain visible.
+            sink.charge(8);
+            return entries_[index];
         }
         // MRAM: issue an aligned DMA for the containing 8-byte blocks.
         uint32_t byteOff = addr_ + index * sizeof(T);
         uint32_t first = byteOff & ~7u;
         uint32_t last = (byteOff + sizeof(T) + 7u) & ~7u;
         alignas(8) unsigned char block[16 + sizeof(T)];
-        if (sim::TaskletContext* ctx = lutTasklet(sink)) {
-            ctx->mramRead(first, block, last - first);
-        } else {
-            // No DMA model available: approximate the stall as
-            // instructions so costs remain visible.
-            sink.charge(8);
-            std::memcpy(block, core_->mramData() + first, last - first);
-        }
+        ctx->mramRead(first, block, last - first);
         T value;
         std::memcpy(&value, block + (byteOff - first), sizeof(T));
         return value;
@@ -181,8 +205,8 @@ class LutStore
   private:
     std::vector<T> entries_;
     Placement placement_ = Placement::Host;
-    sim::DpuCore* core_ = nullptr;
-    uint32_t addr_ = 0;
+    bool attached_ = false;
+    uint32_t addr_ = 0; ///< offset on every attached core
 };
 
 } // namespace transpim

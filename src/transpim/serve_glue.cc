@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -119,34 +120,43 @@ EvaluatorCatalog::provider() const
             return binding; // unknown configuration
         const Entry& entry = it->second;
 
-        // One evaluator per core: LutStore binds attached tables to
-        // one DpuCore, and per-core tables are what the modeled
-        // machine has anyway.
-        auto evals =
-            std::make_shared<std::vector<FunctionEvaluator>>(
-                sys.numDpus());
+        // Generate the tables once and place a copy on every core:
+        // each tasklet reads its own core's copy. Placement is
+        // all-or-nothing across the system, so an infeasible key
+        // leaves every core's allocators as it found them and later
+        // keys still land at one common offset.
+        std::shared_ptr<FunctionEvaluator> ev;
+        std::vector<sim::DpuCore::AllocMark> marks;
+        auto infeasible = [&] {
+            // attach() already released the failing core's tables.
+            for (uint32_t d = 0; d + 1 < marks.size(); ++d)
+                sys.dpu(d).releaseTo(marks[d]);
+            return binding;
+        };
         try {
+            ev = std::make_shared<FunctionEvaluator>(
+                FunctionEvaluator::create(entry.function, entry.spec));
+            marks.reserve(sys.numDpus());
             for (uint32_t d = 0; d < sys.numDpus(); ++d) {
-                (*evals)[d] =
-                    FunctionEvaluator::create(entry.function,
-                                              entry.spec);
-                (*evals)[d].attach(sys.dpu(d));
+                marks.push_back(sys.dpu(d).allocMark());
+                ev->attach(sys.dpu(d));
             }
-        } catch (const UnsupportedCombination&) {
-            return binding;
         } catch (const std::bad_alloc&) {
-            return binding;
+            return infeasible(); // a table does not fit
+        } catch (const std::logic_error&) {
+            // UnsupportedCombination, or cores whose allocators differ
+            // (no common offset).
+            return infeasible();
         }
 
         binding.valid = true;
-        binding.tableBytes =
-            evals->empty() ? 0 : evals->front().memoryBytes();
+        binding.tableBytes = ev->memoryBytes();
         const uint32_t chunk = chunkElems_;
         binding.makeKernel =
-            [evals, chunk](const sim::ShardTask& t) -> sim::Kernel {
-            return makeStreamingKernel((*evals)[t.dpu], t, chunk);
+            [ev, chunk](const sim::ShardTask& t) -> sim::Kernel {
+            return makeStreamingKernel(*ev, t, chunk);
         };
-        binding.state = evals;
+        binding.state = ev;
         return binding;
     };
 }

@@ -38,10 +38,11 @@ sim::serve::TableKey batchTableKey(Function f, const MethodSpec& spec);
  * serve pipeline: each tasklet claims chunks of @p chunkElems
  * elements round-robin, DMAs them into WRAM, evaluates with @p ev,
  * and DMAs the results back. @p ev must outlive the returned kernel
- * (it is captured by pointer — LutStore binds tables to one core, so
- * the caller keeps one evaluator per DPU). @p chunkElems is clamped
- * to [1, 256]; keep it small enough that elements/chunkElems >=
- * tasklets, or tail tasklets idle.
+ * (it is captured by pointer); it must be attached to the shard's
+ * core, and one evaluator attached to every core serves every shard
+ * (each tasklet reads its own core's table copy). @p chunkElems is
+ * clamped to [1, 256]; keep it small enough that elements/chunkElems
+ * >= tasklets, or tail tasklets idle.
  */
 sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
                                 const sim::ShardTask& task,
@@ -50,7 +51,8 @@ sim::Kernel makeStreamingKernel(const FunctionEvaluator& ev,
 /**
  * A registry of evaluator configurations addressable by TableKey,
  * plus the TableProvider that realizes them on a PimSystem (one
- * evaluator per core, tables attached at bind time). Register every
+ * evaluator per configuration, generated once and attached to every
+ * core at bind time). Register every
  * configuration a request trace uses, then hand provider() to the
  * ServePipeline; the catalog must outlive the pipeline run.
  */
@@ -86,7 +88,12 @@ class EvaluatorCatalog
      * Unknown keys and infeasible configurations (unsupported
      * combination, tables exceeding core memory) yield an invalid
      * binding — the pipeline drops those requests instead of
-     * throwing.
+     * throwing. A configuration is generated once and its tables land
+     * at one common offset on every core, so every core must have seen
+     * the same allocations (the pipeline allocates the same buffers on
+     * each); cores that differ yield an invalid binding too. Binding
+     * is all-or-nothing: an invalid binding leaves every core's
+     * allocators as it found them.
      */
     sim::serve::TableProvider provider() const;
 

@@ -87,8 +87,8 @@ struct RunResult
 
 /**
  * The Fig-5 streaming kernel on one core, scalar or batched. A fresh
- * evaluator is created per run (table generation is deterministic, and
- * LutStore binds attached tables to a single core).
+ * evaluator and core are created per run (table generation is
+ * deterministic), so every run starts from the same memory image.
  */
 RunResult
 runStreaming(Function f, const MethodSpec& spec,
@@ -326,11 +326,9 @@ runFaultedSharded(bool batch, uint32_t threads)
     PimSystem sys(kDpus);
     sys.setSimThreads(threads);
 
-    std::vector<FunctionEvaluator> evals(kDpus);
-    for (uint32_t d = 0; d < kDpus; ++d) {
-        evals[d] = FunctionEvaluator::create(Function::Sin, spec);
-        evals[d].attach(sys.dpu(d));
-    }
+    FunctionEvaluator ev = FunctionEvaluator::create(Function::Sin, spec);
+    for (uint32_t d = 0; d < kDpus; ++d)
+        ev.attach(sys.dpu(d));
 
     sim::fault::FaultPlan plan;
     plan.seed = 99;
@@ -360,7 +358,7 @@ runFaultedSharded(bool batch, uint32_t threads)
     r.report = sys.runSharded(
         inputs.data(), r.outputs.data(), kTotal, sizeof(float), 4,
         [&](const sim::ShardTask& t) -> sim::Kernel {
-            const FunctionEvaluator* evp = &evals[t.dpu];
+            const FunctionEvaluator* evp = &ev;
             return [evp, t, batch](TaskletContext& ctx) {
                 constexpr uint32_t chunkElems = 32;
                 float buf[chunkElems];

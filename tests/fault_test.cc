@@ -19,6 +19,7 @@
 #include "pimsim/obs/metrics.h"
 #include "pimsim/system.h"
 #include "transpim/harness.h"
+#include "transpim/serve_glue.h"
 
 namespace {
 
@@ -369,6 +370,107 @@ TEST(FaultMemory, MramBitFlipFiresOnceAtTriggerLaunch)
     sys.dpu(0).launch(1, nop); // one-shot: does not flip back
     sys.dpu(0).hostReadMram(4, &byte, 1);
     EXPECT_EQ(byte, 1u << 7);
+}
+
+// ---------------------------------------------------------------------
+// Table placement: one evaluator attached to many cores.
+// ---------------------------------------------------------------------
+
+/** Outputs of the streaming kernel over a 4-DPU system sharing one
+ * WRAM L-LUT evaluator, and each DPU's [first, first + count) slice. */
+struct SharedTableRun
+{
+    std::vector<float> outputs;
+    std::vector<std::pair<uint64_t, uint32_t>> sliceOfDpu;
+};
+
+SharedTableRun
+runSharedTable(const fault::FaultPlan* plan)
+{
+    MethodSpec spec;
+    spec.method = Method::LLut;
+    spec.placement = Placement::Wram;
+    spec.log2Entries = 8;
+    FunctionEvaluator ev = FunctionEvaluator::create(Function::Sin, spec);
+    PimSystem sys(4);
+    for (uint32_t d = 0; d < sys.numDpus(); ++d)
+        ev.attach(sys.dpu(d));
+    if (plan)
+        sys.armFaults(*plan);
+
+    const uint32_t n = 4096;
+    Domain dom = functionDomain(Function::Sin);
+    std::vector<float> inputs =
+        uniformFloats(n, static_cast<float>(dom.lo),
+                      static_cast<float>(dom.hi), 5);
+    SharedTableRun r;
+    r.outputs.assign(n, 0.0f);
+    r.sliceOfDpu.resize(sys.numDpus());
+    ShardedRunReport rep = sys.runSharded(
+        inputs.data(), r.outputs.data(), n, sizeof(float), 4,
+        [&](const ShardTask& t) {
+            r.sliceOfDpu[t.dpu] = {t.firstElement, t.elements};
+            return makeStreamingKernel(ev, t, 64);
+        });
+    EXPECT_TRUE(rep.complete);
+    EXPECT_EQ(rep.waves, 1u);
+    return r;
+}
+
+TEST(FaultPlacement, WramFlipOnOneCoreChangesOnlyThatCoresSlice)
+{
+    // Flip the top exponent bit of table entry 128 on DPU 2 only: the
+    // table is the first WRAM allocation on every core, so the entry
+    // sits at byte 4 * 128 and its exponent MSB is bit 6 of byte 3.
+    fault::FaultPlan plan;
+    fault::FaultSpec flip;
+    flip.kind = fault::FaultKind::WramBitFlip;
+    flip.dpu = 2;
+    flip.addr = 4 * 128 + 3;
+    flip.bit = 6;
+    plan.faults.push_back(flip);
+
+    SharedTableRun clean = runSharedTable(nullptr);
+    SharedTableRun faulty = runSharedTable(&plan);
+    ASSERT_EQ(clean.sliceOfDpu, faulty.sliceOfDpu);
+    for (uint32_t d = 0; d < clean.sliceOfDpu.size(); ++d) {
+        auto [first, count] = clean.sliceOfDpu[d];
+        ASSERT_GT(count, 0u);
+        uint32_t changed = 0;
+        for (uint64_t i = first; i < first + count; ++i)
+            if (std::memcmp(&clean.outputs[i], &faulty.outputs[i],
+                            sizeof(float)) != 0)
+                ++changed;
+        if (d == 2) {
+            EXPECT_GT(changed, 0u) << "DPU 2 must read its own copy";
+        } else {
+            EXPECT_EQ(changed, 0u) << "DPU " << d;
+        }
+    }
+}
+
+TEST(FaultPlacement, AttachAtDifferentOffsetThrows)
+{
+    for (Placement p : {Placement::Wram, Placement::Mram}) {
+        MethodSpec spec;
+        spec.method = Method::LLut;
+        spec.placement = p;
+        spec.log2Entries = 8;
+        FunctionEvaluator ev =
+            FunctionEvaluator::create(Function::Sin, spec);
+        PimSystem sys(2);
+        ev.attach(sys.dpu(0));
+        if (p == Placement::Wram)
+            sys.dpu(1).wramAlloc(8);
+        else
+            sys.dpu(1).mramAlloc(8);
+        const DpuCore::AllocMark before = sys.dpu(1).allocMark();
+        EXPECT_THROW(ev.attach(sys.dpu(1)), std::logic_error)
+            << placementName(p);
+        // The failed attach leaves core 1's allocators untouched.
+        EXPECT_EQ(sys.dpu(1).wramAllocated(), before.wram);
+        EXPECT_EQ(sys.dpu(1).mramAllocated(), before.mram);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <thread>
@@ -463,6 +464,83 @@ TEST(ServePipeline, UnknownTableIsDroppedNotServed)
     EXPECT_EQ(rep.waves, 0u);
     for (float v : out)
         EXPECT_EQ(v, -1.0f); // outputs untouched
+}
+
+TEST(ServePipeline, InfeasibleKeyLeavesLaterKeysServedOnEveryDpu)
+{
+    // tan's L-LUT holds a sin and a cos table in WRAM. At 2^14
+    // entries sin's table fits in the 64 KiB scratchpad and cos's
+    // then does not. The half-placed key must be rolled back, so the
+    // next WRAM table lands at one offset on every core and is served
+    // everywhere.
+    sim::PimSystem sys(4);
+    EvaluatorCatalog catalog;
+    MethodSpec big;
+    big.method = Method::LLut;
+    big.placement = Placement::Wram;
+    big.log2Entries = 14;
+    MethodSpec small = big;
+    small.log2Entries = 10;
+    const uint32_t freeWram = CostModel{}.wramBytes;
+    const uint32_t tanBytes =
+        FunctionEvaluator::create(Function::Tan, big).memoryBytes();
+    ASSERT_GT(tanBytes, freeWram);
+    ASSERT_LE(tanBytes / 2, freeWram);
+    serve::TableKey tanKey = catalog.add(Function::Tan, big);
+    serve::TableKey sinKey = catalog.add(Function::Sin, small);
+
+    const uint32_t elements = 1024;
+    std::vector<float> in = uniformFloats(elements, -3.0f, 3.0f, 11);
+    std::vector<float> tanOut(elements, -1.0f), sinOut(elements);
+    serve::BatchQueue queue;
+    queue.push(makeRequest(tanKey, in.data(), tanOut.data(), elements));
+    queue.push(makeRequest(sinKey, in.data(), sinOut.data(), elements));
+    queue.close();
+
+    serve::PipelineOptions popts;
+    popts.perDpuElements = 256; // the sin request spans all 4 DPUs
+    popts.numTasklets = 4;
+    serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    serve::ServeReport rep;
+    ASSERT_NO_THROW(rep = pipeline.run(queue));
+    EXPECT_EQ(rep.infeasibleElements, uint64_t{elements});
+    for (float v : tanOut)
+        EXPECT_EQ(v, -1.0f); // dropped, outputs untouched
+
+    FunctionEvaluator ref = FunctionEvaluator::create(Function::Sin, small);
+    std::vector<float> want(elements);
+    ref.evalBatch(in, want);
+    EXPECT_EQ(std::memcmp(sinOut.data(), want.data(),
+                          elements * sizeof(float)),
+              0);
+    for (uint32_t d = 0; d < sys.numDpus(); ++d)
+        EXPECT_EQ(sys.dpu(d).wramAllocated(),
+                  sys.dpu(0).wramAllocated())
+            << "DPU " << d;
+}
+
+TEST(EvaluatorCatalog, InfeasibleKeyReleasesEveryCore)
+{
+    // Core 1 has less WRAM free than core 0, so the table fits on
+    // core 0 and not on core 1: the binding is invalid and core 0's
+    // copy is released again.
+    sim::PimSystem sys(2);
+    sys.dpu(1).wramAlloc(32 * 1024);
+    EvaluatorCatalog catalog;
+    MethodSpec spec;
+    spec.method = Method::LLut;
+    spec.placement = Placement::Wram;
+    spec.log2Entries = 14;
+    const uint32_t bytes =
+        FunctionEvaluator::create(Function::Sin, spec).memoryBytes();
+    ASSERT_GT(bytes, 32u * 1024u);
+    ASSERT_LE(bytes, CostModel{}.wramBytes);
+    serve::TableKey key = catalog.add(Function::Sin, spec);
+
+    serve::TableBinding b = catalog.provider()(key, sys);
+    EXPECT_FALSE(b.valid);
+    EXPECT_EQ(sys.dpu(0).wramAllocated(), 0u);
+    EXPECT_EQ(sys.dpu(1).wramAllocated(), 32u * 1024u);
 }
 
 // ---------------------------------------------------------------------
