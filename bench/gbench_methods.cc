@@ -2,8 +2,10 @@
  * @file
  * google-benchmark microbenchmarks: host-side wall-clock throughput of
  * every method's evaluation routine (no cost model, no simulation),
- * plus the serve front-end's BatchQueue push/pop at several depths and
- * its table build/placement step (EvaluatorCatalog::provider()).
+ * the streaming kernel's chunk body per method through scalar eval()
+ * and through evalBatch() (BM_Eval / BM_EvalBatch pairs), plus the
+ * serve front-end's BatchQueue push/pop at several depths and its
+ * table build/placement step (EvaluatorCatalog::provider()).
  *
  * These numbers measure the *simulator's* own speed, not the modeled
  * PIM system - useful for tracking regressions in the numeric kernels
@@ -12,7 +14,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "pimsim/serve/batch_queue.h"
 #include "pimsim/system.h"
 #include "transpim/evaluator.h"
+#include "transpim/reference.h"
 #include "transpim/serve_glue.h"
 
 namespace {
@@ -85,6 +90,63 @@ void BM_Exp_LLut(benchmark::State& s)
 void BM_Gelu_DlLut(benchmark::State& s)
 {
     runMethod(s, Function::Gelu, Method::DlLut);
+}
+
+/**
+ * One chunk of the streaming kernel (makeStreamingKernel) on a
+ * one-tasklet launch of a core holding the method's tables: 256
+ * inputs, evaluated one eval() call per element (@p batch false) or
+ * in one evalBatch() call (@p batch true). Both charge the tasklet
+ * the same instructions, so the pair's ratio is the batch path's
+ * simulator speedup. Items are elements.
+ */
+void
+runChunk(benchmark::State& state, Function f, Method m, bool batch)
+{
+    constexpr uint32_t kChunk = 256;
+    MethodSpec spec;
+    spec.method = m;
+    spec.interpolated = true;
+    spec.log2Entries = 12;
+    spec.iterations = 24;
+    FunctionEvaluator eval = FunctionEvaluator::create(f, spec);
+    tpl::sim::DpuCore core;
+    eval.attach(core);
+    Domain dom = functionDomain(f);
+    std::vector<float> inputs =
+        tpl::uniformFloats(kChunk, static_cast<float>(dom.lo),
+                           static_cast<float>(dom.hi), 7);
+    float buffer[kChunk];
+    tpl::sim::Kernel kernel = [&](tpl::sim::TaskletContext& ctx) {
+        std::copy(inputs.begin(), inputs.end(), buffer);
+        if (batch) {
+            ctx.chargeClassN(tpl::InstrClass::IntAlu, 4, kChunk);
+            std::span<float> span(buffer, kChunk);
+            eval.evalBatch(span, span, &ctx);
+        } else {
+            for (uint32_t i = 0; i < kChunk; ++i) {
+                ctx.charge(4);
+                buffer[i] = eval.eval(buffer[i], &ctx);
+            }
+        }
+    };
+    for (auto _ : state) {
+        core.launch(1, kernel);
+        benchmark::DoNotOptimize(buffer);
+    }
+    state.SetItemsProcessed(state.iterations() * kChunk);
+}
+
+void
+BM_Eval(benchmark::State& s, Function f, Method m)
+{
+    runChunk(s, f, m, false);
+}
+
+void
+BM_EvalBatch(benchmark::State& s, Function f, Method m)
+{
+    runChunk(s, f, m, true);
 }
 
 /**
@@ -182,6 +244,18 @@ BENCHMARK(BM_Tanh_DLut);
 BENCHMARK(BM_Tanh_DlLut);
 BENCHMARK(BM_Exp_LLut);
 BENCHMARK(BM_Gelu_DlLut);
+#define TPL_EVAL_PAIR(name, f, m)                                     \
+    BENCHMARK_CAPTURE(BM_Eval, name, Function::f, Method::m);         \
+    BENCHMARK_CAPTURE(BM_EvalBatch, name, Function::f, Method::m)
+TPL_EVAL_PAIR(CORDIC, Sin, Cordic);
+TPL_EVAL_PAIR(CORDIC_fixed, Sin, CordicFixed);
+TPL_EVAL_PAIR(CORDIC_LUT, Sin, CordicLut);
+TPL_EVAL_PAIR(M_LUT, Sin, MLut);
+TPL_EVAL_PAIR(L_LUT, Sin, LLut);
+TPL_EVAL_PAIR(L_LUT_fixed, Sin, LLutFixed);
+TPL_EVAL_PAIR(D_LUT, Tanh, DLut);
+TPL_EVAL_PAIR(DL_LUT, Tanh, DlLut);
+TPL_EVAL_PAIR(Poly, Sin, Poly);
 BENCHMARK(BM_BatchQueue_PushPop)
     ->ArgNames({"depth", "budget"})
     ->ArgsProduct({{1000, 10000, 100000}, {64, 1 << 20}});

@@ -36,10 +36,7 @@
 # Schema 3 adds host-throughput accounting: every result entry carries
 # "elements_per_sec" (per-configuration-point elements divided by wall
 # seconds — a trajectory metric, comparable only between runs with the
-# same settings), and a "sim_throughput" object replays the Figure-5
-# sweep with the batch execution path on (TPL_BATCH_EVAL=1, the
-# default) and off (TPL_BATCH_EVAL=0) and records both rates plus the
-# batch-over-scalar speedup.
+# same settings).
 #
 # Schema 4: the embedded "serve_sweep" object (pimserve --json,
 # embedded verbatim) now carries per-request modeled latency — a
@@ -64,6 +61,10 @@
 # replay beats the best static configuration
 # (cycles_ratio_vs_static < 1) while meeting every tenant SLA
 # (sla_met) — the headline claim of the online tuner.
+#
+# Schema 7 drops the schema-3 "sim_throughput" object (a batch-versus-
+# scalar replay of the Figure-5 sweep); gbench_methods' BM_Eval /
+# BM_EvalBatch pairs measure that ratio per method instead.
 set -u
 
 if [ "${1:-}" = "--quick" ]; then
@@ -102,8 +103,7 @@ ERR_TMP=$(mktemp)
 METRICS_TMP=$(mktemp)
 SERVE_TMP=$(mktemp)
 TRACE_TMP=$(mktemp)
-CSV_TMP=$(mktemp)
-trap 'rm -f "$ERR_TMP" "$METRICS_TMP" "$SERVE_TMP" "$TRACE_TMP" "$CSV_TMP"' EXIT
+trap 'rm -f "$ERR_TMP" "$METRICS_TMP" "$SERVE_TMP" "$TRACE_TMP"' EXIT
 
 entries=""
 failures=0
@@ -286,75 +286,9 @@ else
     echo "== pimtune not built; tuner_sweep omitted" >&2
 fi
 
-# Schema-3 simulator-throughput probe: the Figure-5 sweep replayed with
-# the batch execution path enabled (the default) and disabled
-# (TPL_BATCH_EVAL=0). CSV mode is used so the row count gives the
-# number of feasible sweep points, which with the per-point element
-# count yields true simulated-elements-per-second rates; the ratio is
-# the headline batch-over-scalar simulator speedup.
-sim_throughput=""
-FIG5="$BENCH_DIR/fig5_cycles"
-if [ -x "$FIG5" ]; then
-    # Default to a larger per-point element count than the trajectory
-    # benches: the probe isolates *simulation* throughput, and at small
-    # sizes per-point fixed costs (table generation, setup) dominate
-    # the wall clock instead. An explicit TPL_BENCH_ELEMENTS (including
-    # --quick's 512) still wins.
-    st_elems=${TPL_BENCH_ELEMENTS:-65536}
-    echo "== fig5_cycles batch-vs-scalar simulator throughput" >&2
-    st_ok=1
-    batch_secs=0
-    scalar_secs=0
-    points=0
-    for mode in batch scalar; do
-        : > "$CSV_TMP"
-        start=$(now_ns)
-        if [ "$mode" = batch ]; then
-            TPL_BENCH_ELEMENTS=$st_elems TPL_BENCH_CSV=1 \
-                TPL_BATCH_EVAL=1 "$FIG5" > "$CSV_TMP" 2> "$ERR_TMP"
-        else
-            TPL_BENCH_ELEMENTS=$st_elems TPL_BENCH_CSV=1 \
-                TPL_BATCH_EVAL=0 "$FIG5" > "$CSV_TMP" 2> "$ERR_TMP"
-        fi
-        status=$?
-        end=$(now_ns)
-        if [ "$status" -ne 0 ]; then
-            st_ok=0
-            failures=$((failures + 1))
-            echo "   $mode run FAILED (exit $status)" >&2
-            tail -5 "$ERR_TMP" >&2
-            continue
-        fi
-        secs=$(awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f", (b - a) / 1e9 }')
-        points=$(($(wc -l < "$CSV_TMP") - 1))
-        [ "$points" -ge 0 ] || points=0
-        echo "   $mode: ${secs}s ($points points x $st_elems elements)" >&2
-        if [ "$mode" = batch ]; then batch_secs=$secs; else scalar_secs=$secs; fi
-    done
-    if [ "$st_ok" = 1 ]; then
-        sim_throughput=$(awk -v p="$points" -v e="$st_elems" \
-            -v b="$batch_secs" -v s="$scalar_secs" 'BEGIN {
-            total = p * e
-            beps = (b > 0) ? total / b : 0
-            seps = (s > 0) ? total / s : 0
-            spd = (b > 0 && s > 0) ? s / b : 0
-            printf "{\"bench\": \"fig5_cycles\", \"sweep_points\": %d, ", p
-            printf "\"elements_per_point\": %d, ", e
-            printf "\"batch_seconds\": %.3f, \"scalar_seconds\": %.3f, ", b, s
-            printf "\"batch_elements_per_sec\": %.1f, ", beps
-            printf "\"scalar_elements_per_sec\": %.1f, ", seps
-            printf "\"batch_over_scalar_speedup\": %.3f}", spd
-        }')
-        echo "$sim_throughput" |
-            sed -nE 's/.*"batch_over_scalar_speedup": ([0-9.]+).*/   speedup \1x/p' >&2
-    fi
-else
-    echo "== fig5_cycles not built; sim_throughput omitted" >&2
-fi
-
 {
     echo "{"
-    echo "  \"schema\": 6,"
+    echo "  \"schema\": 7,"
     echo "  \"git_sha\": \"$GIT_SHA\","
     echo "  \"sim_threads\": \"${TPL_SIM_THREADS:-default}\","
     echo "  \"bench_elements\": \"${TPL_BENCH_ELEMENTS:-default}\","
@@ -366,9 +300,6 @@ fi
     fi
     if [ -n "$tuner_sweep" ]; then
         echo "  \"tuner_sweep\": $tuner_sweep,"
-    fi
-    if [ -n "$sim_throughput" ]; then
-        echo "  \"sim_throughput\": $sim_throughput,"
     fi
     echo "  \"results\": [$entries"
     echo "  ]"

@@ -37,7 +37,7 @@ md_files=$(git ls-files -c -o --exclude-standard '*.md' 2>/dev/null)
 # '# comment' lines inside shell snippets are not headings.
 anchors_of() {
     awk '/^[[:space:]]*```/ { fence = !fence; next }
-         !fence && /^#{1,6} /' "$1" |
+         !fence && /^#+ /' "$1" |
         sed -E 's/^#{1,6} +//' |
         tr 'A-Z' 'a-z' |
         sed -E 's/[^a-z0-9 _-]//g; s/ /-/g'

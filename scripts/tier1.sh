@@ -31,13 +31,13 @@ cleanup() {
 trap cleanup EXIT
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR"
-cmake --build "$BUILD_DIR" -j
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 if [ "${TPL_TIER1_TSAN:-0}" = "1" ]; then
     TSAN_DIR="${BUILD_DIR}-tsan"
     cmake -B "$TSAN_DIR" -S "$SRC_DIR" -DTPL_SANITIZE=thread
-    cmake --build "$TSAN_DIR" -j --target concurrency_test
+    cmake --build "$TSAN_DIR" -j "$(nproc)" --target concurrency_test
     ctest --test-dir "$TSAN_DIR" --output-on-failure \
         -R 'ThreadPool|Determinism|Concurrency'
 fi
@@ -51,13 +51,13 @@ if [ "${TPL_TIER1_SIMD:-0}" = "1" ]; then
     for simd in 0 1; do
         SIMD_DIR="${BUILD_DIR}-simd$simd"
         cmake -B "$SIMD_DIR" -S "$SRC_DIR" -DTPL_SOFTFLOAT_SIMD=$simd
-        cmake --build "$SIMD_DIR" -j --target \
+        cmake --build "$SIMD_DIR" -j "$(nproc)" --target \
             softfloat_test softfloat16_test softfloat64_test \
             softfloat_hardening_test batch_test concurrency_test
         # NB: -R must not follow a bare -j (ctest would parse -R as
         # the optional job-count argument and run the whole suite).
         ctest --test-dir "$SIMD_DIR" --output-on-failure \
-            -R 'Softfloat|Batch|Determinism' -j
+            -R 'Softfloat|Batch|Determinism' -j "$(nproc)"
     done
 fi
 
@@ -69,8 +69,8 @@ if [ "${TPL_TIER1_ASAN:-0}" = "1" ]; then
     ASAN_DIR="${BUILD_DIR}-asan"
     cmake -B "$ASAN_DIR" -S "$SRC_DIR" \
         -DTPL_SANITIZE=address,undefined
-    cmake --build "$ASAN_DIR" -j
-    ctest --test-dir "$ASAN_DIR" --output-on-failure -j
+    cmake --build "$ASAN_DIR" -j "$(nproc)"
+    ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$(nproc)"
 fi
 
 # With TPL_TIER1_TRACE=1, exercise the observability layer end to end:

@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <sys/mman.h>
+
 #include "pimsim/analysis/sanitizer.h"
 #include "pimsim/fault/fault.h"
 #include "pimsim/obs/metrics.h"
@@ -95,6 +97,21 @@ opClassCounter(int o)
 
 } // namespace
 
+ZeroedBank::ZeroedBank(size_t size) : size_(size)
+{
+    // A zero-size bank still maps one byte, so data() is never null.
+    void* p = mmap(nullptr, size_ ? size_ : 1, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    data_ = static_cast<uint8_t*>(p);
+}
+
+ZeroedBank::~ZeroedBank()
+{
+    munmap(data_, size_ ? size_ : 1);
+}
+
 DpuCore::DpuCore(const CostModel& model)
     : model_(model), mram_(model.mramBytes), wram_(model.wramBytes)
 {
@@ -149,7 +166,7 @@ alignUp8(uint32_t v)
 /** WRAM offset of @p p if [p, p+size) lies inside the scratchpad,
  * else -1 (a host buffer standing in for a tasklet's WRAM chunk). */
 int64_t
-wramOffsetOf(const std::vector<uint8_t>& wram, const void* p,
+wramOffsetOf(const ZeroedBank& wram, const void* p,
              uint32_t size)
 {
     auto base = reinterpret_cast<uintptr_t>(wram.data());

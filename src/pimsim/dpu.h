@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <new>
 #include <vector>
@@ -234,27 +233,22 @@ struct LaunchStats
 
 /**
  * Fixed-size zero-initialized byte bank with *lazy* zeroing: backed by
- * calloc, so untouched pages stay untouched OS zero pages instead of
- * being memset at construction. A value-initialized vector would touch
- * all 64 MiB of a modeled MRAM bank up front, which dominates host
- * time for sweeps that build one core per configuration point; with
- * the lazy bank only the pages a run actually uses ever fault in.
- * Reads of never-written bytes still return 0, exactly like the
- * vector this replaces.
+ * an anonymous private mapping, so untouched pages stay untouched OS
+ * zero pages instead of being memset at construction. A
+ * value-initialized vector would touch all 64 MiB of a modeled MRAM
+ * bank and all 64 KB of WRAM up front, which dominates host time for
+ * sweeps that build one core per configuration point and host memory
+ * for fleet-sized systems (calloc would still memset a WRAM-sized
+ * block carved from the heap); with the lazy bank only the pages a
+ * run actually uses ever fault in. Reads of never-written bytes
+ * return 0, exactly like a value-initialized vector.
  */
 class ZeroedBank
 {
   public:
-    explicit ZeroedBank(size_t size)
-        : data_(static_cast<uint8_t*>(
-              std::calloc(size ? size : 1, 1))),
-          size_(size)
-    {
-        if (!data_)
-            throw std::bad_alloc();
-    }
-
-    ~ZeroedBank() { std::free(data_); }
+    /** @throws std::bad_alloc when the mapping fails. */
+    explicit ZeroedBank(size_t size);
+    ~ZeroedBank();
 
     ZeroedBank(const ZeroedBank&) = delete;
     ZeroedBank& operator=(const ZeroedBank&) = delete;
@@ -264,7 +258,7 @@ class ZeroedBank
     size_t size() const { return size_; }
 
   private:
-    uint8_t* data_;
+    uint8_t* data_ = nullptr;
     size_t size_;
 };
 
@@ -387,7 +381,7 @@ class DpuCore
 
     CostModel model_;
     ZeroedBank mram_;
-    std::vector<uint8_t> wram_;
+    ZeroedBank wram_;
     uint32_t mramTop_ = 0;
     uint32_t wramTop_ = 0;
     uint64_t dmaEngineCycles_ = 0; ///< accumulated during a launch

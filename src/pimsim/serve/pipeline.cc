@@ -695,22 +695,14 @@ ServePipeline::run(BatchQueue& queue)
 
     /** Launch the wave's kernels (the rank's DPU lanes). */
     auto computeWave = [&](uint32_t rank, WaveExec& ex) {
-        std::vector<int> sliceOfDpu(n, -1);
-        for (size_t s = 0; s < ex.slices.size(); ++s)
-            sliceOfDpu[ex.slices[s].dpu] = static_cast<int>(s);
         double readyAt =
             opts_.pipelined
                 ? std::max(ex.scatterEv.end,
                            gatherEndByParity[rank][ex.parity])
                 : chain;
-        ex.computeEv = sys_.launchAsync(
-            timeline, readyAt, opts_.numTasklets,
-            [&](uint32_t d) -> Kernel {
-                int s = sliceOfDpu[d];
-                if (s < 0)
-                    return {};
-                return ex.binding->makeKernel(ex.slices[s]);
-            });
+        ex.computeEv =
+            sys_.launchAsync(timeline, readyAt, opts_.numTasklets,
+                             ex.slices, ex.binding->makeKernel);
         chain = ex.computeEv.end;
         computeEndByParity[rank][ex.parity] = ex.computeEv.end;
         ex.stats.maxCycles = sys_.lastMaxCycles();
@@ -721,16 +713,12 @@ ServePipeline::run(BatchQueue& queue)
         report.computeCycles += ex.stats.maxCycles;
         report.rankStats[rank].computeCycles += ex.stats.maxCycles;
 
-        // Straggler detection: a pure function of the per-DPU cycle
-        // counts of the wave's own slices, which the sequential
-        // failure sweep recorded, so it is deterministic at any
-        // thread count and costs nothing on the modeled schedule.
-        const std::vector<uint64_t>& perDpu = sys_.lastLaunchCycles();
-        std::vector<uint64_t> sliceCycles;
-        sliceCycles.reserve(ex.slices.size());
-        for (const ShardTask& t : ex.slices)
-            if (t.dpu < perDpu.size())
-                sliceCycles.push_back(perDpu[t.dpu]);
+        // Straggler detection: a pure function of the per-slice cycle
+        // counts, which the sequential failure sweep recorded, so it
+        // is deterministic at any thread count and costs nothing on
+        // the modeled schedule.
+        std::vector<uint64_t> sliceCycles =
+            sys_.lastLaunchReport().shardCycles;
         for (uint64_t c : sliceCycles)
             ex.stats.totalCycles += c;
         std::sort(sliceCycles.begin(), sliceCycles.end());
@@ -739,7 +727,7 @@ ServePipeline::run(BatchQueue& queue)
                 sliceCycles[sliceCycles.size() / 2];
         if (sliceCycles.size() >= 2 && ex.stats.medianCycles > 0) {
             const double limit =
-                opts_.stragglerFactor *
+                kStragglerFactor *
                 static_cast<double>(ex.stats.medianCycles);
             uint32_t stragglers = 0;
             for (uint64_t c : sliceCycles)
@@ -877,7 +865,7 @@ ServePipeline::run(BatchQueue& queue)
             }
         uint64_t retryElems = retry.elements();
         if (retryElems > 0) {
-            if (ex.generation + 1 > opts_.maxRetryWaves) {
+            if (ex.generation + 1 > kRetryWaves) {
                 report.droppedElements += retryElems;
                 if (trackReqs)
                     for (const WaveReq& r : collectWaveReqs(retry))

@@ -34,7 +34,7 @@
  * (dead transfer leg, hard launch failure, fenced straggler) fails
  * exactly the slices it owned; those elements are re-queued as a
  * retry wave that placement may move to any healthy rank, bounded by
- * PipelineOptions::maxRetryWaves — the pipeline degrades or reports
+ * kRetryWaves re-queues — the pipeline degrades or reports
  * incomplete, it never deadlocks.
  *
  * Synchronous mode (pipelined = false) issues the identical legs but
@@ -81,10 +81,6 @@ struct PipelineOptions
      * schedule (false). Data results are identical; only the modeled
      * timeline differs. */
     bool pipelined = true;
-
-    /** Times one wave's elements may be re-queued after failures
-     * before they are dropped and the run reports incomplete. */
-    uint32_t maxRetryWaves = 6;
 
     /**
      * Cost certificates for cost-aware wave sizing (kill switch:
@@ -138,17 +134,16 @@ struct PipelineOptions
      * the tuner is stateful, so use a fresh instance per replay.
      */
     AutoTuner* autoTuner = nullptr;
-
-    /**
-     * Straggler detector threshold: a wave is flagged anomalous when
-     * its slowest participating DPU exceeds stragglerFactor × the
-     * wave's median per-DPU cycles (upper median; waves with fewer
-     * than two slices or a zero median are never flagged). Detection
-     * is a pure function of modeled cycles, so it is deterministic
-     * and always on; <= 1 effectively flags every uneven wave.
-     */
-    double stragglerFactor = 4.0;
 };
+
+/**
+ * Straggler detector threshold: a wave is flagged anomalous when its
+ * slowest participating DPU exceeds kStragglerFactor × the wave's
+ * median per-DPU cycles (upper median; waves with fewer than two
+ * slices or a zero median are never flagged). Detection is a pure
+ * function of modeled cycles, so it is deterministic and always on.
+ */
+constexpr double kStragglerFactor = 4.0;
 
 /** Modeled timing of one executed wave. */
 struct WaveStats
@@ -167,7 +162,7 @@ struct WaveStats
     uint32_t retriedSlices = 0; ///< slices lost to masked cores
     /** Upper median of the participating DPUs' cycle counts. */
     uint64_t medianCycles = 0;
-    /** DPUs whose cycles exceeded stragglerFactor × medianCycles;
+    /** DPUs whose cycles exceeded kStragglerFactor × medianCycles;
      * nonzero iff the wave was flagged anomalous. */
     uint32_t stragglerDpus = 0;
 };
@@ -204,7 +199,7 @@ struct ServeReport
     uint64_t reshardedElements = 0; ///< elements re-queued off them
     uint64_t computeCycles = 0; ///< sum of per-wave max cycles
     /** Waves flagged by the straggler detector (see
-     * PipelineOptions::stragglerFactor). */
+     * kStragglerFactor). */
     uint64_t anomalousWaves = 0;
     std::vector<WaveStats> waveStats;
     /** Per-rank accounting, one row per rank. */

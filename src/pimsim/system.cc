@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "pimsim/obs/metrics.h"
 #include "pimsim/obs/trace.h"
@@ -128,20 +129,35 @@ PimSystem::maskDpu(uint32_t dpu)
 }
 
 void
-PimSystem::forEachDpu(const std::function<void(uint32_t)>& fn,
-                      uint64_t bytesPerDpu) const
+PimSystem::forEachIndex(size_t n, bool parallel,
+                        const std::function<void(size_t)>& fn) const
 {
-    uint32_t n = numDpus();
-    bool serial = simThreads_ == 1 || n <= 1 ||
-                  bytesPerDpu < kParallelCopyThresholdBytes;
-    if (serial) {
-        for (uint32_t i = 0; i < n; ++i)
-            fn(i);
+    if (!parallel || simThreads_ == 1 || n <= 1) {
+        for (size_t k = 0; k < n; ++k)
+            fn(k);
         return;
     }
     ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-    pool.parallelFor(n,
-                     [&](uint64_t i) { fn(static_cast<uint32_t>(i)); });
+    pool.parallelFor(n, [&](uint64_t k) { fn(k); });
+}
+
+double
+PimSystem::legOnEveryDpu(const std::function<double(uint32_t)>& leg,
+                         uint64_t bytesPerDpu)
+{
+    // Fault-retry overhead lands in a pre-sized slot per DPU and is
+    // summed sequentially, so the modeled seconds are independent of
+    // the thread count (all slots are 0.0 with no plan armed).
+    std::vector<double> extra(numDpus(), 0.0);
+    forEachIndex(extra.size(),
+                 bytesPerDpu >= kParallelCopyThresholdBytes,
+                 [&](size_t i) {
+                     extra[i] = leg(static_cast<uint32_t>(i));
+                 });
+    double sum = 0.0;
+    for (double e : extra)
+        sum += e;
+    return sum;
 }
 
 double
@@ -279,21 +295,14 @@ PimSystem::broadcastToMram(uint32_t mramAddr, const void* src,
     obs::TraceSpan span(
         std::string("broadcast ") + toString(mode), "xfer",
         obs::argKv("bytes", static_cast<uint64_t>(size)));
-    // Fault-retry overhead lands in a pre-sized slot per DPU and is
-    // summed sequentially, so the modeled seconds are independent of
-    // the thread count (all slots are 0.0 with no plan armed).
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
+    double extraSeconds = legOnEveryDpu(
         [&](uint32_t i) {
-            extra[i] = transferLeg(
+            return transferLeg(
                 i, size,
                 [&, i] { dpus_[i]->hostWriteMram(mramAddr, src, size); },
                 dpus_[i]->mramData() + mramAddr, size);
         },
         size);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
     // Parallel broadcast writes the same buffer to each rank
     // overlapped, costing one parallel pass of the table bytes;
     // serialized it streams the buffer once per DPU.
@@ -313,10 +322,9 @@ PimSystem::scatterToMram(uint32_t mramAddr, const void* data,
     obs::TraceSpan span(std::string("scatter ") + toString(mode),
                         "xfer", obs::argKv("bytes", total));
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
+    double extraSeconds = legOnEveryDpu(
         [&](uint32_t i) {
-            extra[i] = transferLeg(
+            return transferLeg(
                 i, bytesPerDpu,
                 [&, i] {
                     dpus_[i]->hostWriteMram(
@@ -327,9 +335,6 @@ PimSystem::scatterToMram(uint32_t mramAddr, const void* data,
                 dpus_[i]->mramData() + mramAddr, bytesPerDpu);
         },
         bytesPerDpu);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
     return accountTransfer(transferStats_.scatter, "scatter", mode,
                            total, extraSeconds);
 }
@@ -342,11 +347,10 @@ PimSystem::gatherFromMram(uint32_t mramAddr, void* data,
     obs::TraceSpan span(std::string("gather ") + toString(mode),
                         "xfer", obs::argKv("bytes", total));
     uint8_t* bytes = static_cast<uint8_t*>(data);
-    std::vector<double> extra(numDpus(), 0.0);
-    forEachDpu(
+    double extraSeconds = legOnEveryDpu(
         [&](uint32_t i) {
             uint8_t* dst = bytes + static_cast<uint64_t>(i) * bytesPerDpu;
-            extra[i] = transferLeg(
+            return transferLeg(
                 i, bytesPerDpu,
                 [&, i, dst] {
                     dpus_[i]->hostReadMram(mramAddr, dst, bytesPerDpu);
@@ -354,68 +358,106 @@ PimSystem::gatherFromMram(uint32_t mramAddr, void* data,
                 dst, bytesPerDpu);
         },
         bytesPerDpu);
-    double extraSeconds = 0.0;
-    for (double e : extra)
-        extraSeconds += e;
     return accountTransfer(transferStats_.gather, "gather", mode,
                            total, extraSeconds);
+}
+
+std::vector<uint8_t>
+PimSystem::launchShards(const char* spanName, uint32_t numTasklets,
+                        std::span<const ShardTask> shards,
+                        const ShardKernelFactory& makeKernel)
+{
+    const size_t m = shards.size();
+    obs::TraceSpan span(
+        spanName, "sim",
+        obs::argsObject(
+            {obs::argKv("dpus", static_cast<uint64_t>(m)),
+             obs::argKv("tasklets",
+                        static_cast<uint64_t>(numTasklets))}));
+    obs::Tracer& tracer = obs::Tracer::global();
+    const bool tracing = tracer.enabled();
+
+    // Build the kernels on the host thread, in shard order. Shards on
+    // cores masked by an earlier failure are skipped; the mask is
+    // read up front, so a core failing *during* this launch still
+    // counts as attempted.
+    std::vector<uint8_t> ran(m, 0);
+    std::vector<Kernel> kernels(m);
+    for (size_t k = 0; k < m; ++k) {
+        if (isMasked(shards[k].dpu))
+            continue;
+        kernels[k] = makeKernel(shards[k]);
+        ran[k] = 1;
+    }
+
+    // Per-shard cycles land in a pre-sized slot each, then reduce
+    // sequentially: no cross-thread accumulation, so the result is
+    // identical to the serial loop bit for bit.
+    std::vector<uint64_t> cycles(m, 0);
+    auto runOne = [&](size_t k) {
+        if (!ran[k])
+            return;
+        const uint32_t d = shards[k].dpu;
+        // The per-DPU slice lands on whichever pool thread ran it,
+        // exercising the tracer's per-thread buffers.
+        const double t0 = tracing ? tracer.nowUs() : 0.0;
+        cycles[k] = dpus_[d]->launch(numTasklets, kernels[k]).cycles;
+        if (tracing)
+            tracer.complete("dpu " + std::to_string(d), "dpu", t0,
+                            tracer.nowUs() - t0,
+                            obs::argKv("cycles", cycles[k]));
+    };
+    forEachIndex(m, true, runOne);
+
+    // Sequential failure sweep: apply the launch timeout, mask newly
+    // failed cores, and cap their cycle contribution (the host fences
+    // a straggler at the timeout; a hard-failed core contributed 0).
+    obs::Registry& reg = obs::Registry::global();
+    LaunchReport report;
+    for (size_t k = 0; k < m; ++k) {
+        if (!ran[k]) {
+            ++report.masked;
+            continue;
+        }
+        ++report.attempted;
+        if (!faults_)
+            continue;
+        const uint32_t d = shards[k].dpu;
+        const LaunchStats& st = dpus_[d]->lastLaunch();
+        report.faultEvents += st.faultEvents;
+        bool failed = st.failed;
+        if (!failed && policy_.launchTimeoutCycles > 0 &&
+            st.cycles > policy_.launchTimeoutCycles) {
+            failed = true;
+            cycles[k] = policy_.launchTimeoutCycles;
+            if (reg.enabled())
+                reg.counter("fault/launch/timeout").add(1);
+        }
+        if (failed) {
+            report.failedDpus.push_back(d);
+            faults_->mask(d);
+        }
+    }
+    if (reg.enabled() && report.masked)
+        reg.counter("fault/launch/masked_skips").add(report.masked);
+    for (uint64_t c : cycles)
+        report.maxCycles = std::max(report.maxCycles, c);
+    report.shardCycles = std::move(cycles);
+    lastReport_ = std::move(report);
+    return ran;
 }
 
 double
 PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
 {
-    uint32_t n = numDpus();
-    obs::TraceSpan span(
-        "launchAll", "sim",
-        obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
-             obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))}));
-    obs::Tracer& tracer = obs::Tracer::global();
-    const bool tracing = tracer.enabled();
-    // Cores masked by an earlier failure are skipped this launch;
-    // snapshot the mask up front so a core failing *during* this
-    // launch still counts as attempted.
-    std::vector<uint8_t> skip(n, 0);
-    if (faults_)
-        for (uint32_t i = 0; i < n; ++i)
-            skip[i] = faults_->masked(i) ? 1 : 0;
-    // Per-DPU cycles land in a pre-sized slot each, then reduce
-    // sequentially: no cross-thread accumulation, so the result is
-    // identical to the serial loop bit for bit.
-    std::vector<uint64_t> cycles(n, 0);
-    auto runOne = [&](uint32_t i) {
-        if (skip[i])
-            return;
-        if (tracing) {
-            // The per-DPU slice lands on whichever pool thread ran
-            // it, exercising the tracer's per-thread buffers.
-            double t0 = tracer.nowUs();
-            cycles[i] = dpus_[i]->launch(numTasklets, kernel).cycles;
-            tracer.complete(
-                "dpu " + std::to_string(i), "dpu", t0,
-                tracer.nowUs() - t0,
-                obs::argKv("cycles", cycles[i]));
-        } else {
-            cycles[i] = dpus_[i]->launch(numTasklets, kernel).cycles;
-        }
-    };
-    if (simThreads_ == 1 || n <= 1) {
-        for (uint32_t i = 0; i < n; ++i)
-            runOne(i);
-    } else {
-        ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-        pool.parallelFor(
-            n, [&](uint64_t i) { runOne(static_cast<uint32_t>(i)); });
-    }
+    std::vector<ShardTask> shards(numDpus());
+    for (uint32_t i = 0; i < numDpus(); ++i)
+        shards[i].dpu = i;
+    launchShards("launchAll", numTasklets, shards,
+                 [&](const ShardTask&) { return kernel; });
+    const uint64_t maxCycles = lastReport_.maxCycles;
+
     obs::Registry& reg = obs::Registry::global();
-
-    std::vector<uint8_t> ran(n, 0);
-    for (uint32_t i = 0; i < n; ++i)
-        ran[i] = skip[i] ? 0 : 1;
-    sweepLaunchFailures(ran, skip, cycles);
-    uint64_t maxCycles = lastMaxCycles_;
-
     if (reg.enabled()) {
         reg.counter("pimsim/system/launches").add(1);
         reg.counter("pimsim/system/max_cycles").add(maxCycles);
@@ -429,57 +471,6 @@ PimSystem::launchAll(uint32_t numTasklets, const Kernel& kernel)
     if (reg.enabled())
         reg.real("pimsim/system/modeled_seconds").add(seconds);
     return seconds;
-}
-
-void
-PimSystem::sweepLaunchFailures(const std::vector<uint8_t>& ran,
-                               const std::vector<uint8_t>& skip,
-                               std::vector<uint64_t>& cycles)
-{
-    uint32_t n = numDpus();
-    obs::Registry& reg = obs::Registry::global();
-    // Sequential failure sweep: apply the launch timeout, mask newly
-    // failed cores, and cap their cycle contribution (the host fences
-    // a straggler at the timeout; a hard-failed core contributed 0).
-    LaunchReport report;
-    if (faults_) {
-        for (uint32_t i = 0; i < n; ++i) {
-            if (skip[i]) {
-                ++report.masked;
-                continue;
-            }
-            if (!ran[i])
-                continue;
-            ++report.attempted;
-            const LaunchStats& st = dpus_[i]->lastLaunch();
-            report.faultEvents += st.faultEvents;
-            bool failed = st.failed;
-            if (!failed && policy_.launchTimeoutCycles > 0 &&
-                st.cycles > policy_.launchTimeoutCycles) {
-                failed = true;
-                cycles[i] = policy_.launchTimeoutCycles;
-                if (reg.enabled())
-                    reg.counter("fault/launch/timeout").add(1);
-            }
-            if (failed) {
-                report.failedDpus.push_back(i);
-                faults_->mask(i);
-            }
-        }
-        if (reg.enabled() && report.masked)
-            reg.counter("fault/launch/masked_skips").add(report.masked);
-    } else {
-        for (uint32_t i = 0; i < n; ++i)
-            report.attempted += ran[i] ? 1 : 0;
-    }
-
-    uint64_t maxCycles = 0;
-    for (uint64_t c : cycles)
-        maxCycles = std::max(maxCycles, c);
-    lastMaxCycles_ = maxCycles;
-    lastCycles_ = cycles;
-    report.maxCycles = maxCycles;
-    lastReport_ = std::move(report);
 }
 
 namespace {
@@ -497,6 +488,39 @@ reserveOnRank(PipelineTimeline& timeline, uint32_t rank,
 }
 
 } // namespace
+
+template <typename Slice>
+double
+PimSystem::serialLegs(TransferStats::Cell (&cells)[2],
+                      const char* direction,
+                      std::span<const Slice> slices)
+{
+    // One retryable leg per slice, sequentially: the slices have
+    // distinct sizes, so the host interface serializes them anyway,
+    // and sequential legs keep the per-DPU fault-event order (and
+    // thus the modeled numbers) independent of the thread count.
+    uint64_t streamBytes = 0;
+    double extra = 0.0;
+    for (const Slice& s : slices) {
+        DpuCore& d = *dpus_[s.dpu];
+        if constexpr (std::is_same_v<Slice, ScatterSlice>) {
+            extra += transferLeg(
+                s.dpu, s.bytes,
+                [&] { d.hostWriteMram(s.mramAddr, s.src, s.bytes); },
+                d.mramData() + s.mramAddr, s.bytes);
+        } else {
+            uint8_t* dst = static_cast<uint8_t*>(s.dst);
+            extra += transferLeg(
+                s.dpu, s.bytes,
+                [&] { d.hostReadMram(s.mramAddr, dst, s.bytes); }, dst,
+                s.bytes);
+        }
+        if (!isMasked(s.dpu))
+            streamBytes += s.bytes;
+    }
+    return accountTransfer(cells, direction, TransferMode::Serial,
+                           streamBytes, extra);
+}
 
 PipelineEvent
 PimSystem::broadcastAsync(PipelineTimeline& timeline, double readyAt,
@@ -523,24 +547,7 @@ PimSystem::scatterAsync(PipelineTimeline& timeline, double readyAt,
         total += s.bytes;
     obs::TraceSpan span("scatterAsync", "xfer",
                         obs::argKv("bytes", total));
-    // One retryable leg per slice, sequentially: the slices have
-    // distinct sizes, so the host interface serializes them anyway,
-    // and sequential legs keep the per-DPU fault-event order (and
-    // thus the modeled numbers) independent of the thread count.
-    uint64_t streamBytes = 0;
-    double extra = 0.0;
-    for (const ScatterSlice& s : slices) {
-        DpuCore& d = *dpus_[s.dpu];
-        extra += transferLeg(
-            s.dpu, s.bytes,
-            [&] { d.hostWriteMram(s.mramAddr, s.src, s.bytes); },
-            d.mramData() + s.mramAddr, s.bytes);
-        if (!isMasked(s.dpu))
-            streamBytes += s.bytes;
-    }
-    double seconds =
-        accountTransfer(transferStats_.scatter, "scatter",
-                        TransferMode::Serial, streamBytes, extra);
+    double seconds = serialLegs(transferStats_.scatter, "scatter", slices);
     return reserveOnRank(timeline, rank, readyAt, seconds);
 }
 
@@ -554,101 +561,35 @@ PimSystem::gatherAsync(PipelineTimeline& timeline, double readyAt,
         total += s.bytes;
     obs::TraceSpan span("gatherAsync", "xfer",
                         obs::argKv("bytes", total));
-    uint64_t streamBytes = 0;
-    double extra = 0.0;
-    for (const GatherSlice& s : slices) {
-        uint8_t* dst = static_cast<uint8_t*>(s.dst);
-        extra += transferLeg(
-            s.dpu, s.bytes,
-            [&] {
-                dpus_[s.dpu]->hostReadMram(s.mramAddr, dst, s.bytes);
-            },
-            dst, s.bytes);
-        if (!isMasked(s.dpu))
-            streamBytes += s.bytes;
-    }
-    double seconds =
-        accountTransfer(transferStats_.gather, "gather",
-                        TransferMode::Serial, streamBytes, extra);
+    double seconds = serialLegs(transferStats_.gather, "gather", slices);
     return reserveOnRank(timeline, rank, readyAt, seconds);
 }
 
 PipelineEvent
 PimSystem::launchAsync(PipelineTimeline& timeline, double readyAt,
                        uint32_t numTasklets,
-                       const DpuKernelFactory& makeKernel)
+                       std::span<const ShardTask> slices,
+                       const ShardKernelFactory& makeKernel)
 {
-    uint32_t n = numDpus();
-    obs::TraceSpan span(
-        "launchAsync", "sim",
-        obs::argsObject(
-            {obs::argKv("dpus", static_cast<uint64_t>(n)),
-             obs::argKv("tasklets",
-                        static_cast<uint64_t>(numTasklets))}));
-    obs::Tracer& tracer = obs::Tracer::global();
-    const bool tracing = tracer.enabled();
-
-    // Build the wave on the host thread (deterministic factory call
-    // order). A core is "skipped" only if it was asked to participate
-    // but an earlier failure masked it.
-    std::vector<uint8_t> skip(n, 0);
-    std::vector<uint8_t> ran(n, 0);
-    std::vector<Kernel> kernels(n);
-    for (uint32_t i = 0; i < n; ++i) {
-        Kernel k = makeKernel(i);
-        if (!k)
-            continue;
-        if (faults_ && faults_->masked(i)) {
-            skip[i] = 1;
-            continue;
-        }
-        kernels[i] = std::move(k);
-        ran[i] = 1;
-    }
-
-    // Per-DPU cycles land in pre-sized slots (same determinism
-    // argument as launchAll).
-    std::vector<uint64_t> cycles(n, 0);
-    auto runOne = [&](uint32_t i) {
-        if (!ran[i])
-            return;
-        if (tracing) {
-            double t0 = tracer.nowUs();
-            cycles[i] =
-                dpus_[i]->launch(numTasklets, kernels[i]).cycles;
-            tracer.complete("dpu " + std::to_string(i), "dpu", t0,
-                            tracer.nowUs() - t0,
-                            obs::argKv("cycles", cycles[i]));
-        } else {
-            cycles[i] =
-                dpus_[i]->launch(numTasklets, kernels[i]).cycles;
-        }
-    };
-    if (simThreads_ == 1 || n <= 1) {
-        for (uint32_t i = 0; i < n; ++i)
-            runOne(i);
-    } else {
-        ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-        pool.parallelFor(
-            n, [&](uint64_t i) { runOne(static_cast<uint32_t>(i)); });
-    }
-
-    sweepLaunchFailures(ran, skip, cycles);
+    std::vector<uint8_t> ran =
+        launchShards("launchAsync", numTasklets, slices, makeKernel);
+    const std::vector<uint64_t>& cycles = lastReport_.shardCycles;
 
     // Merge each participating core's modeled cycles onto its own
     // timeline lane; the wave's event spans the earliest lane start
     // to the latest lane end.
     PipelineEvent ev{readyAt, readyAt};
     bool first = true;
-    for (uint32_t i = 0; i < n; ++i) {
-        if (!ran[i])
+    for (size_t k = 0; k < slices.size(); ++k) {
+        if (!ran[k])
             continue;
+        const uint32_t d = slices[k].dpu;
         double secs = model_.frequencyHz > 0.0
-                          ? static_cast<double>(cycles[i]) /
+                          ? static_cast<double>(cycles[k]) /
                                 model_.frequencyHz
                           : 0.0;
-        double start = std::max(readyAt, timeline.dpuFree(i));
-        double end = timeline.reserveDpu(i, readyAt, secs);
+        double start = std::max(readyAt, timeline.dpuFree(d));
+        double end = timeline.reserveDpu(d, readyAt, secs);
         ev.start = first ? start : std::min(ev.start, start);
         ev.end = std::max(ev.end, end);
         first = false;
@@ -657,9 +598,9 @@ PimSystem::launchAsync(PipelineTimeline& timeline, double readyAt,
     obs::Registry& reg = obs::Registry::global();
     if (reg.enabled()) {
         reg.counter("pimsim/system/async_launches").add(1);
-        reg.counter("pimsim/system/max_cycles").add(lastMaxCycles_);
+        reg.counter("pimsim/system/max_cycles").add(lastMaxCycles());
         reg.histogram("pimsim/system/max_cycles_per_launch")
-            .observe(lastMaxCycles_);
+            .observe(lastMaxCycles());
         reg.real("pimsim/system/modeled_seconds")
             .add(ev.end - ev.start);
     }
@@ -691,11 +632,18 @@ PimSystem::runSharded(const void* input, void* output,
     const uint8_t* in = static_cast<const uint8_t*>(input);
     uint8_t* out = static_cast<uint8_t*>(output);
 
+    // The shard buffers of every wave are freed when the call
+    // returns, not between waves, so MRAM addresses (and the faults
+    // keyed on them) within one call do not depend on the release.
+    std::vector<DpuCore::AllocMark> marks;
+    marks.reserve(numDpus());
+    for (const auto& d : dpus_)
+        marks.push_back(d->allocMark());
+
     // Pending contiguous element ranges (first, count). Failed shards
     // put their range back here and the next wave re-distributes it
     // over whatever cores are still healthy.
     std::vector<std::pair<uint64_t, uint64_t>> pending{{0, elements}};
-    const uint32_t waveLimit = std::max(1u, policy_.maxReshardWaves);
 
     auto noteFailed = [&rep](uint32_t d) {
         if (std::find(rep.failedDpus.begin(), rep.failedDpus.end(),
@@ -703,7 +651,7 @@ PimSystem::runSharded(const void* input, void* output,
             rep.failedDpus.push_back(d);
     };
 
-    while (!pending.empty() && rep.waves < waveLimit) {
+    while (!pending.empty() && rep.waves < kRetryWaves) {
         std::vector<uint32_t> healthy;
         for (uint32_t i = 0; i < numDpus(); ++i)
             if (!isMasked(i))
@@ -745,117 +693,61 @@ PimSystem::runSharded(const void* input, void* output,
         }
         pending.clear();
 
-        // Scatter: one serial leg per shard (sizes differ, so the
-        // host interface serializes). A leg that kills its core drops
-        // the shard back into the pending set before launch.
-        std::vector<char> live(tasks.size(), 1);
-        uint64_t scatterBytes = 0;
-        double scatterExtra = 0.0;
-        for (size_t k = 0; k < tasks.size(); ++k) {
-            ShardTask& t = tasks[k];
-            DpuCore& d = dpu(t.dpu);
-            const uint64_t bytes =
-                static_cast<uint64_t>(t.elements) * elemBytes;
-            t.inAddr = d.mramAlloc(static_cast<uint32_t>(bytes));
-            t.outAddr = d.mramAlloc(static_cast<uint32_t>(bytes));
-            scatterExtra += transferLeg(
-                t.dpu, bytes,
-                [&] {
-                    d.hostWriteMram(t.inAddr,
-                                    in + t.firstElement * elemBytes,
-                                    static_cast<uint32_t>(bytes));
-                },
-                d.mramData() + t.inAddr, bytes);
+        // Scatter each shard into fresh MRAM buffers. A leg that
+        // kills its core drops the shard back into the pending set
+        // before launch.
+        std::vector<ScatterSlice> scatter;
+        for (ShardTask& t : tasks) {
+            DpuCore& d = *dpus_[t.dpu];
+            const uint32_t bytes = t.elements * elemBytes;
+            t.inAddr = d.mramAlloc(bytes);
+            t.outAddr = d.mramAlloc(bytes);
+            scatter.push_back(
+                {t.dpu, t.inAddr, in + t.firstElement * elemBytes, bytes});
+        }
+        rep.modeledSeconds += serialLegs<ScatterSlice>(
+            transferStats_.scatter, "scatter", scatter);
+        std::vector<ShardTask> live;
+        for (const ShardTask& t : tasks) {
             if (isMasked(t.dpu)) {
-                live[k] = 0;
                 next.emplace_back(t.firstElement, t.elements);
                 noteFailed(t.dpu);
             } else {
-                scatterBytes += bytes;
+                live.push_back(t);
             }
         }
-        rep.modeledSeconds +=
-            accountTransfer(transferStats_.scatter, "scatter",
-                            TransferMode::Serial, scatterBytes,
-                            scatterExtra);
 
-        // Launch every live shard (distinct cores, so parallel is
-        // safe); per-task cycles land in pre-sized slots.
-        std::vector<uint64_t> cyc(tasks.size(), 0);
-        auto runOne = [&](size_t k) {
-            if (!live[k])
-                return;
-            const ShardTask& t = tasks[k];
-            cyc[k] =
-                dpu(t.dpu).launch(numTasklets, makeKernel(t)).cycles;
-        };
-        if (simThreads_ == 1 || tasks.size() <= 1) {
-            for (size_t k = 0; k < tasks.size(); ++k)
-                runOne(k);
-        } else {
-            ThreadPool& pool = pool_ ? *pool_ : ThreadPool::global();
-            pool.parallelFor(tasks.size(),
-                             [&](uint64_t k) { runOne(k); });
-        }
+        launchShards("runSharded wave", numTasklets, live, makeKernel);
+        const uint64_t waveMax = lastReport_.maxCycles;
 
-        // Sequential sweep: fence stragglers, mask failures, gather
-        // the survivors' outputs into the host array.
-        uint64_t gatherBytes = 0;
-        double gatherExtra = 0.0;
-        uint64_t waveMax = 0;
-        for (size_t k = 0; k < tasks.size(); ++k) {
-            if (!live[k])
-                continue;
-            const ShardTask& t = tasks[k];
-            const LaunchStats& st = dpu(t.dpu).lastLaunch();
-            bool failed = st.failed;
-            if (!failed && policy_.launchTimeoutCycles > 0 &&
-                st.cycles > policy_.launchTimeoutCycles) {
-                failed = true;
-                cyc[k] = policy_.launchTimeoutCycles;
-                if (reg.enabled())
-                    reg.counter("fault/launch/timeout").add(1);
-            }
-            if (failed) {
-                maskDpu(t.dpu);
-                noteFailed(t.dpu);
-                next.emplace_back(t.firstElement, t.elements);
-                waveMax = std::max(waveMax, cyc[k]);
-                continue;
-            }
-            const uint64_t bytes =
-                static_cast<uint64_t>(t.elements) * elemBytes;
-            uint8_t* dst = out + t.firstElement * elemBytes;
-            gatherExtra += transferLeg(
-                t.dpu, bytes,
-                [&] {
-                    dpu(t.dpu).hostReadMram(
-                        t.outAddr, dst, static_cast<uint32_t>(bytes));
-                },
-                dst, bytes);
+        // Gather the survivors' outputs into the host array. A shard
+        // whose core failed its launch or its gather leg recomputes
+        // elsewhere in the next wave.
+        std::vector<GatherSlice> gather;
+        for (const ShardTask& t : live)
+            if (!isMasked(t.dpu))
+                gather.push_back({t.dpu, t.outAddr,
+                                  out + t.firstElement * elemBytes,
+                                  t.elements * elemBytes});
+        rep.modeledSeconds += serialLegs<GatherSlice>(
+            transferStats_.gather, "gather", gather);
+        for (const ShardTask& t : live) {
             if (isMasked(t.dpu)) {
-                // The gather leg died: the results are lost and the
-                // shard recomputes elsewhere.
                 noteFailed(t.dpu);
                 next.emplace_back(t.firstElement, t.elements);
-            } else {
-                gatherBytes += bytes;
             }
-            waveMax = std::max(waveMax, cyc[k]);
         }
-        rep.modeledSeconds +=
-            accountTransfer(transferStats_.gather, "gather",
-                            TransferMode::Serial, gatherBytes,
-                            gatherExtra);
         if (model_.frequencyHz > 0.0)
             rep.modeledSeconds +=
                 static_cast<double>(waveMax) / model_.frequencyHz;
-        lastMaxCycles_ = std::max(lastMaxCycles_, waveMax);
 
         for (const auto& r : next)
             rep.reshardedElements += r.second;
         pending = std::move(next);
     }
+
+    for (uint32_t i = 0; i < numDpus(); ++i)
+        dpus_[i]->releaseTo(marks[i]);
 
     rep.complete = pending.empty();
     if (faults_) {

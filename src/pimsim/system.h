@@ -120,20 +120,25 @@ struct RetryPolicy
      * (straggler fencing); 0 disables the timeout. */
     uint64_t launchTimeoutCycles = 0;
 
-    /** Re-shard passes runSharded may take before giving up. */
-    uint32_t maxReshardWaves = 6;
-
     /** Detected-corrupt transfer legs are retried; when false they
      * land silently (models a runtime without CRC). */
     bool detectTransferCorruption = true;
 };
 
 /**
- * What happened in the last launchAll: which cores ran, which were
- * skipped because an earlier fault masked them, and which failed this
- * launch (hard failure, or cycles beyond the policy's launch
- * timeout). Failure surfaces here and in the per-core
- * LaunchStats::failed flag; the obs Registry counts under `fault/...`.
+ * Retry budget of the degradation paths: runSharded runs at most this
+ * many waves, and the serve pipeline re-queues one wave's elements at
+ * most this many times before dropping them.
+ */
+constexpr uint32_t kRetryWaves = 6;
+
+/**
+ * What happened in the last launch (launchAll, launchAsync or a
+ * runSharded wave): which cores ran, which were skipped because an
+ * earlier fault masked them, and which failed this launch (hard
+ * failure, or cycles beyond the policy's launch timeout). Failure
+ * surfaces here and in the per-core LaunchStats::failed flag; the obs
+ * Registry counts under `fault/...`.
  */
 struct LaunchReport
 {
@@ -142,10 +147,14 @@ struct LaunchReport
     std::vector<uint32_t> failedDpus; ///< newly failed this launch
     uint64_t maxCycles = 0; ///< slowest healthy core
     uint64_t faultEvents = 0; ///< injected events across cores
+    /** Cycles per launched shard, in the launch's shard order (every
+     * DPU for launchAll, the wave's slices for launchAsync): 0 for a
+     * skipped shard, a fenced straggler capped at the timeout. */
+    std::vector<uint64_t> shardCycles;
 };
 
-/** One shard of a runSharded pass: where a contiguous slice of the
- * element range landed on one core. */
+/** One shard of a launch: where a contiguous slice of the element
+ * range landed on one core. */
 struct ShardTask
 {
     uint32_t dpu = 0;          ///< simulated DPU index
@@ -332,12 +341,6 @@ struct GatherSlice
     uint32_t bytes = 0;
 };
 
-/**
- * Builds the kernel one DPU runs in a launchAsync wave. Returning an
- * empty Kernel excludes that DPU from the wave (its lane stays free).
- */
-using DpuKernelFactory = std::function<Kernel(uint32_t dpu)>;
-
 /** Accumulated timing of one offloaded phase. */
 struct PhaseTiming
 {
@@ -472,18 +475,19 @@ class PimSystem
                               uint32_t rank);
 
     /**
-     * Launch a wave on every DPU for which @p makeKernel returns a
-     * non-empty kernel, each core's modeled cycles reserved on its
-     * own lane starting no earlier than @p readyAt. Masked cores are
-     * skipped; failures are swept exactly as in launchAll (see
-     * lastLaunchReport()). The event spans from the earliest lane
-     * start to the latest lane end; with all lanes free at @p readyAt
-     * its seconds() is the slowest healthy core's time, like
-     * launchAll's return value.
+     * Launch the wave's @p slices, the kernel of each built by
+     * @p makeKernel, each core's modeled cycles reserved on its own
+     * lane starting no earlier than @p readyAt. Slices on masked
+     * cores are skipped; failures are swept exactly as in launchAll
+     * (see lastLaunchReport(), whose shardCycles are per slice). The
+     * event spans from the earliest lane start to the latest lane
+     * end; with all lanes free at @p readyAt its seconds() is the
+     * slowest healthy core's time, like launchAll's return value.
      */
     PipelineEvent launchAsync(PipelineTimeline& timeline,
                               double readyAt, uint32_t numTasklets,
-                              const DpuKernelFactory& makeKernel);
+                              std::span<const ShardTask> slices,
+                              const ShardKernelFactory& makeKernel);
     /// @}
 
     /**
@@ -505,23 +509,15 @@ class PimSystem
      */
     double launchAll(uint32_t numTasklets, const Kernel& kernel);
 
-    /** Cycles of the slowest DPU in the last launchAll. */
-    uint64_t lastMaxCycles() const { return lastMaxCycles_; }
+    /** Cycles of the slowest DPU in the last launch. */
+    uint64_t lastMaxCycles() const { return lastReport_.maxCycles; }
 
     /**
-     * Per-DPU cycle counts of the last launchAll/launchAsync, indexed
-     * by DPU (0 for cores that did not run the wave; straggler
-     * entries already fenced at the policy's launch timeout). Filled
-     * by the same sequential failure sweep that computes
-     * lastMaxCycles(), so it is deterministic at any thread count —
-     * the serve pipeline's straggler detector reads its spread.
+     * Failure and cycle accounting of the last launch. Filled by one
+     * sequential sweep after the cores ran, so it is deterministic at
+     * any thread count; the serve pipeline's straggler detector reads
+     * the spread of its shardCycles.
      */
-    const std::vector<uint64_t>& lastLaunchCycles() const
-    {
-        return lastCycles_;
-    }
-
-    /** Failure accounting of the last launchAll. */
     const LaunchReport& lastLaunchReport() const { return lastReport_; }
 
     /// @name Fault injection & resilience (pimsim/fault/fault.h).
@@ -558,8 +554,10 @@ class PimSystem
      * the shard kernels, and gather into @p output — retrying failed
      * transfer legs with capped exponential backoff and re-sharding
      * the slices of failed cores onto the survivors in subsequent
-     * waves. Without an armed plan this degenerates to one wave over
-     * all cores. @p makeKernel is called once per shard per wave.
+     * waves, at most kRetryWaves of them. Without an armed plan this
+     * degenerates to one wave over all cores. @p makeKernel is called
+     * once per launched shard per wave. The MRAM shard buffers are
+     * freed when the call returns.
      */
     ShardedRunReport runSharded(const void* input, void* output,
                                 uint64_t elements, uint32_t elemBytes,
@@ -629,9 +627,21 @@ class PimSystem
                                   uint32_t systemDpus) const;
 
   private:
-    /** Run fn(d) for every DPU index, parallel when profitable. */
-    void forEachDpu(const std::function<void(uint32_t)>& fn,
-                    uint64_t bytesPerDpu) const;
+    /**
+     * Run fn(k) for every k in [0, n): across the pool when
+     * @p parallel (and the system is not pinned to one thread), else
+     * serially in index order.
+     */
+    void forEachIndex(size_t n, bool parallel,
+                      const std::function<void(size_t)>& fn) const;
+
+    /**
+     * Run one transfer leg per DPU, parallel when profitable: @p leg
+     * returns the leg's fault-retry overhead in modeled seconds.
+     * @return the overhead summed over the DPUs in index order.
+     */
+    double legOnEveryDpu(const std::function<double(uint32_t)>& leg,
+                         uint64_t bytesPerDpu);
 
     /**
      * Account one transfer into @p cell (and, observationally, the
@@ -672,22 +682,34 @@ class PimSystem
     void maskDpu(uint32_t dpu);
 
     /**
-     * Post-launch failure sweep shared by launchAll and launchAsync:
-     * fence stragglers at the policy's launch timeout (capping their
-     * entry in @p cycles), mask newly failed cores, and fill
-     * lastReport_ / lastMaxCycles_. @p ran marks cores that executed
-     * this wave, @p skip cores excluded because they were already
-     * masked when the wave started. Sequential, so the result is
-     * independent of the simulation thread count.
+     * Run @p slices as one transferLeg each, in order, and account
+     * them as one serial transfer in @p cells of the bytes that
+     * reached a live core. Each slice is a ScatterSlice (host ->
+     * MRAM) or a GatherSlice (MRAM -> host). @return modeled seconds.
      */
-    void sweepLaunchFailures(const std::vector<uint8_t>& ran,
-                             const std::vector<uint8_t>& skip,
-                             std::vector<uint64_t>& cycles);
+    template <typename Slice>
+    double serialLegs(TransferStats::Cell (&cells)[2],
+                      const char* direction,
+                      std::span<const Slice> slices);
+
+    /**
+     * The one kernel-launch path, behind launchAll, launchAsync and
+     * every runSharded wave. Builds each shard's kernel on the host
+     * thread in shard order, skipping shards whose core was masked
+     * when the launch began; launches the rest across the pool into
+     * pre-sized cycle slots (one tracer span per DPU); then sweeps
+     * failures sequentially: fences stragglers at the policy's
+     * launch timeout, masks newly failed cores and fills lastReport_.
+     * The sweep makes the result independent of the thread count.
+     * @return per shard, 1 when it ran and 0 when it was skipped.
+     */
+    std::vector<uint8_t> launchShards(const char* spanName,
+                                      uint32_t numTasklets,
+                                      std::span<const ShardTask> shards,
+                                      const ShardKernelFactory& makeKernel);
 
     CostModel model_;
     std::vector<std::unique_ptr<DpuCore>> dpus_;
-    uint64_t lastMaxCycles_ = 0;
-    std::vector<uint64_t> lastCycles_;
     uint32_t simThreads_ = 0;
     ThreadPool* pool_ = nullptr; ///< nullptr = the global pool
     TransferStats transferStats_;

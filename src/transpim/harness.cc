@@ -91,38 +91,12 @@ runMicrobench(Function f, const MethodSpec& spec,
 
     // The paper's microbenchmark kernel: each tasklet streams chunks
     // from MRAM through a WRAM buffer and evaluates every element.
-    // Chunks run through evalBatch (charge-identical to the scalar
-    // loop); TPL_BATCH_EVAL=0 selects the per-element path instead.
-    constexpr uint32_t chunkElems = 256;
-    const bool useBatch = batchEvalEnabled();
+    sim::ShardTask task;
+    task.inAddr = inAddr;
+    task.outAddr = outAddr;
+    task.elements = opts.elements;
     sim::LaunchStats stats =
-        dpu.launch(opts.tasklets, [&](sim::TaskletContext& ctx) {
-            float buffer[chunkElems];
-            uint32_t perChunk = chunkElems;
-            uint32_t chunks =
-                (opts.elements + perChunk - 1) / perChunk;
-            for (uint32_t c = ctx.taskletId(); c < chunks;
-                 c += ctx.numTasklets()) {
-                uint32_t beg = c * perChunk;
-                uint32_t cnt =
-                    std::min(perChunk, opts.elements - beg);
-                ctx.mramRead(inAddr + beg * sizeof(float), buffer,
-                             cnt * sizeof(float));
-                if (useBatch) {
-                    // loop control + WRAM load/store, bulk-charged
-                    ctx.chargeClassN(InstrClass::IntAlu, 4, cnt);
-                    std::span<float> span(buffer, cnt);
-                    eval.evalBatch(span, span, &ctx);
-                } else {
-                    for (uint32_t i = 0; i < cnt; ++i) {
-                        ctx.charge(4); // loop control + WRAM ld/st
-                        buffer[i] = eval.eval(buffer[i], &ctx);
-                    }
-                }
-                ctx.mramWrite(outAddr + beg * sizeof(float), buffer,
-                              cnt * sizeof(float));
-            }
-        });
+        dpu.launch(opts.tasklets, makeStreamingKernel(eval, task, 256));
 
     std::vector<float> outputs(opts.elements);
     dpu.hostReadMram(outAddr, outputs.data(), bytes);
@@ -277,7 +251,6 @@ runBatchedThroughput(Function f, const MethodSpec& spec,
         popts.numTasklets = opts.tasklets;
         popts.perDpuElements = opts.perDpuElements;
         popts.pipelined = pipelined;
-        popts.maxRetryWaves = opts.maxRetryWaves;
         sim::serve::ServePipeline pipeline(sys, catalog.provider(),
                                            popts);
         return pipeline.run(queue);

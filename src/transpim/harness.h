@@ -142,7 +142,6 @@ struct BatchedOptions
     sim::RetryPolicy policy;
     /** Fault plan armed on both systems before serving, when set. */
     std::optional<sim::fault::FaultPlan> plan;
-    uint32_t maxRetryWaves = 6;
     /** Simulation threads override (0 = global default). */
     uint32_t simThreads = 0;
 };

@@ -5,6 +5,7 @@
  * multi-DPU system's transfer timing.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -277,6 +278,40 @@ TEST(PimSystem, LaunchAllRunsEveryDpuAndTakesMax)
     EXPECT_EQ(expectCycles, sys.lastMaxCycles());
     EXPECT_NEAR(static_cast<double>(expectCycles) / sys.model().frequencyHz,
                 secs, 1e-12);
+}
+
+TEST(PimSystem, RunShardedFreesShardBuffersPerCall)
+{
+    // Each call stages 2^20 floats (8 MiB of in + out shard buffers)
+    // on one 64 MiB bank: a call that kept its buffers would exhaust
+    // the bank on the 9th call.
+    PimSystem sys(1);
+    const uint32_t resident = sys.dpu(0).mramAlloc(4096);
+    const uint32_t before = sys.dpu(0).mramAllocated();
+    const uint64_t n = 1u << 20;
+    std::vector<float> in(n), out(n);
+    std::iota(in.begin(), in.end(), 0.0f);
+    auto copyKernel = [](const ShardTask& t) -> Kernel {
+        return [t](TaskletContext& ctx) {
+            uint8_t buf[2048];
+            const uint32_t bytes = t.elements * 4;
+            for (uint32_t off = ctx.taskletId() * 2048; off < bytes;
+                 off += ctx.numTasklets() * 2048) {
+                uint32_t len = std::min(2048u, bytes - off);
+                ctx.mramRead(t.inAddr + off, buf, len);
+                ctx.mramWrite(t.outAddr + off, buf, len);
+            }
+        };
+    };
+    for (int call = 0; call < 12; ++call) {
+        std::fill(out.begin(), out.end(), -1.0f);
+        ShardedRunReport rep = sys.runSharded(in.data(), out.data(), n,
+                                              4, 4, copyKernel);
+        ASSERT_TRUE(rep.complete) << "call " << call;
+        ASSERT_EQ(before, sys.dpu(0).mramAllocated()) << "call " << call;
+        ASSERT_EQ(in, out) << "call " << call;
+    }
+    EXPECT_EQ(0u, resident);
 }
 
 TEST(DpuEnergy, InstructionAndDmaComponents)
