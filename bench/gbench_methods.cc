@@ -4,8 +4,10 @@
  * every method's evaluation routine (no cost model, no simulation),
  * the streaming kernel's chunk body per method through scalar eval()
  * and through evalBatch() (BM_Eval / BM_EvalBatch pairs), plus the
- * serve front-end's BatchQueue push/pop at several depths and its
- * table build/placement step (EvaluatorCatalog::provider()).
+ * serve front-end's BatchQueue push/pop at several depths, its
+ * table build/placement step (EvaluatorCatalog::provider()), the
+ * request journal's record calls, and a whole ServePipeline run of
+ * many small requests.
  *
  * These numbers measure the *simulator's* own speed, not the modeled
  * PIM system - useful for tracking regressions in the numeric kernels
@@ -21,8 +23,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "pimsim/obs/journal.h"
 #include "pimsim/serve/batch_queue.h"
+#include "pimsim/serve/pipeline.h"
 #include "pimsim/system.h"
+#include "pimsim/topology.h"
 #include "transpim/evaluator.h"
 #include "transpim/reference.h"
 #include "transpim/serve_glue.h"
@@ -234,6 +239,144 @@ BM_TableProvider(benchmark::State& state)
     }
 }
 
+/**
+ * One Journal::record per iteration, as a serve run stamps a request
+ * event. state.range(0): events off (0) or on (1); state.range(1):
+ * the event's kind and ~40-character table label arrive as interned
+ * ids (0, what the pipeline records) or as a JournalEvent's strings
+ * (1). With events on, the journal is cleared every 2^20 records
+ * outside the timed region, so memory stays bounded.
+ */
+void
+BM_Journal_Record(benchmark::State& state)
+{
+    tpl::obs::Journal journal;
+    journal.setEventsEnabled(state.range(0) != 0);
+    const bool text = state.range(1) != 0;
+    const std::string label = "sin/l_lut/interp/wram/e12/serve-key-01";
+    tpl::obs::JournalEvent textEv;
+    textEv.kind = "compute";
+    textEv.table = label;
+    tpl::obs::InternedEvent ev;
+    ev.kind = journal.intern(textEv.kind);
+    ev.table = journal.intern(label);
+    uint64_t n = 0;
+    for (auto _ : state) {
+        if (text) {
+            textEv.request = ++n;
+            journal.record(textEv);
+        } else {
+            ev.request = ++n;
+            journal.record(ev);
+        }
+        if ((n & ((1u << 20) - 1)) == 0) {
+            state.PauseTiming();
+            journal.clear();
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/** One Journal::recordLatency per iteration, the table label as an
+ * interned id (state.range(0) = 0) or as a RequestLatency's string
+ * (1); cleared every 2^20 records outside the timed region. */
+void
+BM_Journal_RecordLatency(benchmark::State& state)
+{
+    tpl::obs::Journal journal;
+    const bool text = state.range(0) != 0;
+    tpl::obs::RequestLatency textLat;
+    textLat.table = "sin/l_lut/interp/wram/e12/serve-key-01";
+    textLat.complete = true;
+    tpl::obs::InternedLatency lat;
+    lat.table = journal.intern(textLat.table);
+    lat.complete = true;
+    uint64_t n = 0;
+    for (auto _ : state) {
+        if (text) {
+            textLat.request = ++n;
+            journal.recordLatency(textLat);
+        } else {
+            lat.request = ++n;
+            journal.recordLatency(lat);
+        }
+        if ((n & ((1u << 20) - 1)) == 0) {
+            state.PauseTiming();
+            journal.clear();
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
+ * A ServePipeline run of 20,000 requests of 8-24 elements (one sin
+ * L-LUT configuration) on a 1x1x64 system with an events-off
+ * journal attached, as perfbench and pimserve run by default: push
+ * plus run(), the per-request serve path. The pipeline and its table
+ * are built once, outside the timed region; items are requests.
+ */
+void
+BM_ServePipeline_SmallRequests(benchmark::State& state)
+{
+    namespace serve = tpl::sim::serve;
+    constexpr uint32_t kRequests = 20000;
+    const tpl::sim::Topology topo{1, 1, 64};
+    tpl::sim::PimSystem sys(topo.numDpus());
+    sys.setSimThreads(1);
+    MethodSpec spec;
+    spec.method = Method::LLut;
+    spec.interpolated = true;
+    EvaluatorCatalog catalog;
+    serve::TableKey key = catalog.add(Function::Sin, spec);
+    tpl::obs::Journal journal;
+    journal.setEventsEnabled(false);
+    serve::PipelineOptions popts;
+    popts.topology = &topo;
+    popts.journal = &journal;
+    serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+
+    tpl::SplitMix64 rng(7);
+    std::vector<uint64_t> sizes(kRequests);
+    uint64_t total = 0;
+    for (uint64_t& n : sizes) {
+        n = 8 + rng.next() % 17;
+        total += n;
+    }
+    std::vector<float> in(total), out(total);
+    for (size_t i = 0; i < in.size(); ++i)
+        in[i] = 6.0f * static_cast<float>(i % 1024) / 1024.0f;
+    auto serveAll = [&] {
+        serve::BatchQueue queue;
+        queue.setJournal(&journal);
+        uint64_t off = 0;
+        for (uint64_t n : sizes) {
+            serve::Request r;
+            r.table = key;
+            r.input = in.data() + off;
+            r.output = out.data() + off;
+            r.elements = n;
+            queue.push(std::move(r));
+            off += n;
+        }
+        queue.close();
+        return pipeline.run(queue);
+    };
+    serveAll(); // builds the table
+    for (auto _ : state) {
+        serve::ServeReport rep = serveAll();
+        if (!rep.complete) {
+            state.SkipWithError("run incomplete");
+            break;
+        }
+        state.PauseTiming();
+        journal.clear();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * kRequests);
+}
+
 BENCHMARK(BM_Sin_Cordic);
 BENCHMARK(BM_Sin_CordicLut);
 BENCHMARK(BM_Sin_MLut);
@@ -263,6 +406,11 @@ BENCHMARK(BM_TableProvider)
     ->ArgNames({"dpus", "mram"})
     ->ArgsProduct({{64, 20 * 2 * 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Journal_Record)
+    ->ArgNames({"events", "text"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_Journal_RecordLatency)->ArgName("text")->Arg(0)->Arg(1);
+BENCHMARK(BM_ServePipeline_SmallRequests)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -284,7 +284,10 @@ fi
 # ranks, 2560 DPUs), journal byte-identity across TPL_SIM_THREADS=
 # 1/4/16, and a Python check that the per-rank journal spans and
 # rank_stats rows partition the fleet totals (makespan = max over
-# ranks, waves/elements sum exactly).
+# ranks, waves/elements sum exactly). A replay without --journal
+# (journal events off, latency records only) must report the same
+# latency percentiles, requests/s and request counts as the
+# journaled one.
 if [ "${TPL_TIER1_FLEET:-0}" = "1" ]; then
     FLEET_TMP=$(mktemp -d)
     for threads in 1 4 16; do
@@ -297,6 +300,18 @@ if [ "${TPL_TIER1_FLEET:-0}" = "1" ]; then
     done
     cmp "$FLEET_TMP/fleet.t1.jsonl" "$FLEET_TMP/fleet.t4.jsonl"
     cmp "$FLEET_TMP/fleet.t1.jsonl" "$FLEET_TMP/fleet.t16.jsonl"
+    "$BUILD_DIR/tools/pimserve" --demo-trace \
+        --topology 20x2x64 --demo-requests 20000 --no-sync-replay \
+        --json "$FLEET_TMP/fleet.nojournal.json" > /dev/null
+    python3 - "$FLEET_TMP" <<'PYEOF'
+import json, sys
+tmp = sys.argv[1]
+on = json.load(open(tmp + "/fleet.t1.json"))
+off = json.load(open(tmp + "/fleet.nojournal.json"))
+for key in ("latency", "requests_per_second", "requests"):
+    assert on[key] == off[key], (key, on[key], off[key])
+print("pimserve latency/RPS/requests identical with and without --journal")
+PYEOF
     python3 - "$FLEET_TMP" <<'PYEOF'
 import json, sys
 tmp = sys.argv[1]

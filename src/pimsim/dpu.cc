@@ -40,7 +40,7 @@ struct LaunchMetrics
     obs::Counter* stallCycles;
     obs::Counter* dmaBytes;
     obs::Counter* dmaEngineCycles;
-    obs::RealAccum* energyJoules;
+    obs::RealAccum* energyJoules; ///< added by launch() or PimSystem
     obs::Histogram* cyclesPerLaunch;
 };
 
@@ -231,7 +231,7 @@ DpuCore::accountDma(uint32_t size)
 }
 
 LaunchStats
-DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
+DpuCore::execute(uint32_t numTasklets, const Kernel& kernel)
 {
     assert(numTasklets >= 1 && numTasklets <= model_.maxTasklets);
     dmaEngineCycles_ = 0;
@@ -333,7 +333,6 @@ DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
         m.stallCycles->add(stats.stallCycles);
         m.dmaBytes->add(stats.dmaBytes);
         m.dmaEngineCycles->add(stats.dmaEngineCycles);
-        m.energyJoules->add(stats.energyJoules);
         for (int c = 0; c < numInstrClasses; ++c)
             if (stats.classInstructions[c])
                 instrClassCounter(c).add(stats.classInstructions[c]);
@@ -416,6 +415,15 @@ TaskletContext::chargeWramAccess(uint32_t accesses)
 {
     chargeClass(InstrClass::WramAccess,
                 accesses * core_.model_.wramAccessCost);
+}
+
+LaunchStats
+DpuCore::launch(uint32_t numTasklets, const Kernel& kernel)
+{
+    LaunchStats stats = execute(numTasklets, kernel);
+    if (!stats.failed && obs::Registry::global().enabled())
+        launchMetrics().energyJoules->add(stats.energyJoules);
+    return stats;
 }
 
 } // namespace sim

@@ -375,6 +375,15 @@ class DpuCore
 
   private:
     friend class TaskletContext;
+    friend class PimSystem;
+
+    /**
+     * launch() minus adding the launch's energy to the registry's
+     * real-valued `pimsim/dpu/energy_joules` sum. PimSystem runs its
+     * shards on pool threads and adds their energy itself, in shard
+     * order, so the sum does not depend on thread scheduling.
+     */
+    LaunchStats execute(uint32_t numTasklets, const Kernel& kernel);
 
     /** Account a DMA transfer on the engine; returns stall cycles. */
     uint64_t accountDma(uint32_t size);

@@ -61,9 +61,10 @@ jsonEscape(const std::string& s)
 }
 
 void
-appendEventLine(std::ostringstream& out, const JournalEvent& ev)
+appendEventLine(std::ostringstream& out, const InternedEvent& ev,
+                const std::vector<std::string>& strings)
 {
-    out << "{\"kind\": \"" << jsonEscape(ev.kind) << "\""
+    out << "{\"kind\": \"" << jsonEscape(strings[ev.kind]) << "\""
         << ", \"t\": " << formatDouble(ev.t)
         << ", \"dur\": " << formatDouble(ev.dur)
         << ", \"request\": " << ev.request
@@ -76,19 +77,20 @@ appendEventLine(std::ostringstream& out, const JournalEvent& ev)
         out << ", \"rank\": " << ev.rank;
     if (ev.tenant != 0)
         out << ", \"tenant\": " << ev.tenant;
-    if (!ev.table.empty())
-        out << ", \"table\": \"" << jsonEscape(ev.table) << "\"";
-    if (!ev.note.empty())
-        out << ", \"note\": \"" << jsonEscape(ev.note) << "\"";
+    if (ev.table != 0)
+        out << ", \"table\": \"" << jsonEscape(strings[ev.table]) << "\"";
+    if (ev.note != 0)
+        out << ", \"note\": \"" << jsonEscape(strings[ev.note]) << "\"";
     out << "}\n";
 }
 
 void
-appendLatencyLine(std::ostringstream& out, const RequestLatency& lat)
+appendLatencyLine(std::ostringstream& out, const InternedLatency& lat,
+                  const std::vector<std::string>& strings)
 {
     out << "{\"kind\": \"latency\""
         << ", \"request\": " << lat.request
-        << ", \"table\": \"" << jsonEscape(lat.table) << "\""
+        << ", \"table\": \"" << jsonEscape(strings[lat.table]) << "\""
         << ", \"elements\": " << lat.elements
         << ", \"waves\": " << lat.waves
         << ", \"complete\": " << (lat.complete ? "true" : "false")
@@ -106,17 +108,79 @@ appendLatencyLine(std::ostringstream& out, const RequestLatency& lat)
 
 } // namespace
 
+uint32_t
+Journal::internLocked(std::string_view s)
+{
+    if (s.empty())
+        return 0;
+    auto it = ids_.find(s);
+    if (it != ids_.end())
+        return it->second;
+    const uint32_t id = static_cast<uint32_t>(strings_.size());
+    strings_.emplace_back(s);
+    ids_.emplace(strings_.back(), id);
+    return id;
+}
+
+uint32_t
+Journal::intern(std::string_view s)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return internLocked(s);
+}
+
 void
 Journal::record(const JournalEvent& ev)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!eventsEnabled_)
+    if (!eventsEnabled())
         return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    InternedEvent rec;
+    rec.kind = internLocked(ev.kind);
+    rec.table = internLocked(ev.table);
+    rec.note = internLocked(ev.note);
+    rec.rank = ev.rank;
+    rec.t = ev.t;
+    rec.dur = ev.dur;
+    rec.request = ev.request;
+    rec.wave = ev.wave;
+    rec.elements = ev.elements;
+    rec.cycles = ev.cycles;
+    rec.tenant = ev.tenant;
+    events_.push_back(rec);
+}
+
+void
+Journal::record(const InternedEvent& ev)
+{
+    if (!eventsEnabled())
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(ev);
 }
 
 void
 Journal::recordLatency(const RequestLatency& lat)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    InternedLatency rec;
+    rec.request = lat.request;
+    rec.table = internLocked(lat.table);
+    rec.complete = lat.complete;
+    rec.elements = lat.elements;
+    rec.waves = lat.waves;
+    rec.arrivalSeconds = lat.arrivalSeconds;
+    rec.firstScatterSeconds = lat.firstScatterSeconds;
+    rec.completedSeconds = lat.completedSeconds;
+    rec.queueWaitSeconds = lat.queueWaitSeconds;
+    rec.transferSeconds = lat.transferSeconds;
+    rec.computeSeconds = lat.computeSeconds;
+    rec.stallSeconds = lat.stallSeconds;
+    latencies_.push_back(rec);
+}
+
+void
+Journal::recordLatency(const InternedLatency& lat)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     latencies_.push_back(lat);
@@ -126,25 +190,58 @@ std::vector<JournalEvent>
 Journal::events() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return events_;
+    std::vector<JournalEvent> out(events_.size());
+    for (size_t i = 0; i < events_.size(); ++i) {
+        const InternedEvent& rec = events_[i];
+        JournalEvent& ev = out[i];
+        ev.kind = strings_[rec.kind];
+        ev.t = rec.t;
+        ev.dur = rec.dur;
+        ev.request = rec.request;
+        ev.wave = rec.wave;
+        ev.elements = rec.elements;
+        ev.cycles = rec.cycles;
+        ev.rank = rec.rank;
+        ev.tenant = rec.tenant;
+        ev.table = strings_[rec.table];
+        ev.note = strings_[rec.note];
+    }
+    return out;
 }
 
 std::vector<RequestLatency>
 Journal::latencies() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return latencies_;
+    std::vector<RequestLatency> out(latencies_.size());
+    for (size_t i = 0; i < latencies_.size(); ++i) {
+        const InternedLatency& rec = latencies_[i];
+        RequestLatency& lat = out[i];
+        lat.request = rec.request;
+        lat.table = strings_[rec.table];
+        lat.elements = rec.elements;
+        lat.waves = rec.waves;
+        lat.complete = rec.complete;
+        lat.arrivalSeconds = rec.arrivalSeconds;
+        lat.firstScatterSeconds = rec.firstScatterSeconds;
+        lat.completedSeconds = rec.completedSeconds;
+        lat.queueWaitSeconds = rec.queueWaitSeconds;
+        lat.transferSeconds = rec.transferSeconds;
+        lat.computeSeconds = rec.computeSeconds;
+        lat.stallSeconds = rec.stallSeconds;
+    }
+    return out;
 }
 
 LatencySummary
 Journal::summarize(double makespanSeconds) const
 {
-    std::vector<RequestLatency> lats = latencies();
+    std::lock_guard<std::mutex> lock(mutex_);
     LatencySummary s;
     std::vector<double> done;
-    done.reserve(lats.size());
+    done.reserve(latencies_.size());
     double sum = 0.0;
-    for (const auto& lat : lats) {
+    for (const auto& lat : latencies_) {
         if (!lat.complete) {
             ++s.incomplete;
             continue;
@@ -183,29 +280,42 @@ Journal::summarize(double makespanSeconds) const
 std::string
 Journal::toJsonl() const
 {
-    std::vector<JournalEvent> evs = events();
-    std::vector<RequestLatency> lats = latencies();
+    std::vector<InternedEvent> evs;
+    std::vector<InternedLatency> lats;
+    std::vector<std::string> strings;
+    // Each id's rank in string order, so events sort by kind text.
+    std::vector<uint32_t> textRank;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        evs = events_;
+        lats = latencies_;
+        strings = strings_;
+        textRank.assign(strings_.size(), 0); // "" sorts first
+        uint32_t r = 1;
+        for (const auto& entry : ids_)
+            textRank[entry.second] = r++;
+    }
     // Canonical order: events by (t, kind, request, wave, rank) —
     // modeled time first so the log reads causally; rank last so a
     // multi-rank run stays canonical when two ranks tie on everything
     // else; stable_sort keeps any residual ties in (deterministic
     // single-consumer) append order.
     std::stable_sort(evs.begin(), evs.end(),
-                     [](const JournalEvent& a, const JournalEvent& b) {
-                         return std::tie(a.t, a.kind, a.request, a.wave,
-                                         a.rank) <
-                                std::tie(b.t, b.kind, b.request, b.wave,
-                                         b.rank);
+                     [&](const InternedEvent& a, const InternedEvent& b) {
+                         return std::tie(a.t, textRank[a.kind], a.request,
+                                         a.wave, a.rank) <
+                                std::tie(b.t, textRank[b.kind], b.request,
+                                         b.wave, b.rank);
                      });
     std::stable_sort(lats.begin(), lats.end(),
-                     [](const RequestLatency& a, const RequestLatency& b) {
+                     [](const InternedLatency& a, const InternedLatency& b) {
                          return a.request < b.request;
                      });
     std::ostringstream out;
     for (const auto& ev : evs)
-        appendEventLine(out, ev);
+        appendEventLine(out, ev, strings);
     for (const auto& lat : lats)
-        appendLatencyLine(out, lat);
+        appendLatencyLine(out, lat, strings);
     return out.str();
 }
 
@@ -222,15 +332,13 @@ Journal::writeJsonl(const std::string& path) const
 void
 Journal::setEventsEnabled(bool enabled)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    eventsEnabled_ = enabled;
+    eventsEnabled_.store(enabled, std::memory_order_relaxed);
 }
 
 bool
 Journal::eventsEnabled() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return eventsEnabled_;
+    return eventsEnabled_.load(std::memory_order_relaxed);
 }
 
 void

@@ -41,10 +41,13 @@
 #ifndef TPL_PIMSIM_OBS_JOURNAL_H
 #define TPL_PIMSIM_OBS_JOURNAL_H
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tpl {
@@ -98,6 +101,50 @@ struct RequestLatency
     }
 };
 
+/**
+ * A JournalEvent as the journal stores it: kind, table and note are
+ * ids from Journal::intern() (0 is the empty string). Serve-path
+ * producers record this form, so an event costs no string copies;
+ * events() and toJsonl() resolve the ids back to text.
+ */
+struct InternedEvent
+{
+    uint32_t kind = 0;
+    uint32_t table = 0;
+    uint32_t note = 0;
+    int32_t rank = -1;
+    double t = 0.0;
+    double dur = 0.0;
+    uint64_t request = 0;
+    uint64_t wave = JournalEvent::kNoWave;
+    uint64_t elements = 0;
+    uint64_t cycles = 0;
+    uint64_t tenant = 0;
+};
+
+/** A RequestLatency as the journal stores it: table is an id from
+ * Journal::intern(). Same fields and meaning otherwise. */
+struct InternedLatency
+{
+    uint64_t request = 0;
+    uint32_t table = 0;
+    bool complete = false;
+    uint64_t elements = 0;
+    uint64_t waves = 0;
+    double arrivalSeconds = 0.0;
+    double firstScatterSeconds = 0.0;
+    double completedSeconds = 0.0;
+    double queueWaitSeconds = 0.0;
+    double transferSeconds = 0.0;
+    double computeSeconds = 0.0;
+    double stallSeconds = 0.0;
+
+    double latencySeconds() const
+    {
+        return complete ? completedSeconds - arrivalSeconds : 0.0;
+    }
+};
+
 /** Exact nearest-rank percentile summary over completed requests. */
 struct LatencySummary
 {
@@ -117,18 +164,35 @@ struct LatencySummary
  * latency records. Mutex-guarded so producers on any thread may
  * record; determinism comes from the *content* (modeled time + stable
  * ids + canonical sort in toJsonl), not from append order.
+ *
+ * Kinds, table labels and notes are kept as ids into one string
+ * table (intern()); they become strings again only when read through
+ * events(), latencies() or toJsonl().
  */
 class Journal
 {
   public:
+    /**
+     * Id of @p s in the journal's string table, adding it on first
+     * sight; 0 is the empty string. Ids are dense and stay valid for
+     * the journal's lifetime (clear() keeps the table).
+     */
+    uint32_t intern(std::string_view s);
+
+    /** Append @p ev, interning its strings. */
     void record(const JournalEvent& ev);
+    /** Append an event whose strings are already interned. */
+    void record(const InternedEvent& ev);
     void recordLatency(const RequestLatency& lat);
+    void recordLatency(const InternedLatency& lat);
 
     /**
      * When disabled, record() drops events; recordLatency is
      * unaffected. pimserve turns event capture off on large replays
      * that requested no --journal output, so a million-request trace
      * costs per-request latency records only, not per-wave spans.
+     * Producers read eventsEnabled() (one relaxed atomic load) and
+     * skip building events the journal would drop.
      */
     void setEventsEnabled(bool enabled);
     bool eventsEnabled() const;
@@ -146,22 +210,27 @@ class Journal
     /**
      * Canonical JSONL: one event object per line sorted by (t, kind,
      * request, wave), then one {"kind":"latency",...} line per request
-     * sorted by request id. Doubles are printed with %.17g so the
-     * text round-trips the exact binary value — byte-identical output
-     * at any thread count.
+     * sorted by request id. Kinds sort as strings. Doubles are printed
+     * with %.17g so the text round-trips the exact binary value —
+     * byte-identical output at any thread count.
      */
     std::string toJsonl() const;
 
     /** Write toJsonl() to @p path; false on I/O failure. */
     bool writeJsonl(const std::string& path) const;
 
+    /** Drop every event and latency record (interned ids stay). */
     void clear();
 
   private:
+    uint32_t internLocked(std::string_view s);
+
     mutable std::mutex mutex_;
-    bool eventsEnabled_ = true;
-    std::vector<JournalEvent> events_;
-    std::vector<RequestLatency> latencies_;
+    std::atomic<bool> eventsEnabled_{true};
+    std::vector<std::string> strings_{std::string()}; ///< id -> text
+    std::map<std::string, uint32_t, std::less<>> ids_; ///< text -> id
+    std::vector<InternedEvent> events_;
+    std::vector<InternedLatency> latencies_;
 };
 
 /**

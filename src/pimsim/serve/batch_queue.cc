@@ -22,14 +22,14 @@ BatchQueue::push(Request request)
     request.id = nextId_++;
     ++totalPushed_;
     uint64_t id = request.id;
-    if (journal_) {
-        obs::JournalEvent ev;
-        ev.kind = "enqueue";
+    if (journal_ && journal_->eventsEnabled()) {
+        obs::InternedEvent ev;
+        ev.kind = enqueueKind_;
         ev.t = request.arrivalSeconds;
         ev.request = id;
         ev.elements = request.elements;
         ev.tenant = request.tenant;
-        ev.table = request.table.label;
+        ev.table = journal_->intern(request.table.label);
         journal_->record(ev);
     }
     ++depth_;
@@ -48,6 +48,7 @@ BatchQueue::setJournal(obs::Journal* journal)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     journal_ = journal;
+    enqueueKind_ = journal ? journal->intern("enqueue") : 0;
 }
 
 void
@@ -77,6 +78,13 @@ BatchQueue::queuedElements() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return queuedElements_;
+}
+
+uint64_t
+BatchQueue::oldestId() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return heads_.empty() ? nextId_ : heads_.begin()->first;
 }
 
 uint64_t

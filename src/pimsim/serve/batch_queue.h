@@ -166,9 +166,20 @@ class BatchQueue
     uint64_t totalPushed() const;
 
     /**
-     * Attach a journal: every push() records an `enqueue` span event
-     * stamped at the request's arrivalSeconds. nullptr detaches;
-     * off-path costs nothing (one pointer test under the push lock).
+     * Lower bound on the id of every request a later popWave() can
+     * return: the oldest queued request's id, or the id the next
+     * push() assigns when nothing is queued. Ids are dense from
+     * there, so a consumer can index per-request state by
+     * `id - oldestId()`. O(1).
+     */
+    uint64_t oldestId() const;
+
+    /**
+     * Attach a journal: while its events are enabled, every push()
+     * records an `enqueue` span event stamped at the request's
+     * arrivalSeconds. nullptr detaches; with no journal or events
+     * off, push() builds no event (a pointer test and one relaxed
+     * atomic load under the push lock).
      */
     void setJournal(obs::Journal* journal);
 
@@ -188,6 +199,7 @@ class BatchQueue
     uint64_t nextId_ = 1;
     uint64_t totalPushed_ = 0;
     obs::Journal* journal_ = nullptr;
+    uint32_t enqueueKind_ = 0; ///< journal_'s id of "enqueue"
 };
 
 } // namespace serve

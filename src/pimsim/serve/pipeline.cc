@@ -21,12 +21,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "pimsim/obs/journal.h"
 #include "pimsim/obs/metrics.h"
@@ -57,7 +56,96 @@ struct WaveReq
     uint64_t id = 0;
     uint64_t elements = 0; ///< this request's elements in the wave
     bool last = false;     ///< wave carries the request's tail
+};
+
+/** One request's span accounting over a run (journal/flow
+ * bookkeeping). */
+struct ReqAcc
+{
+    static constexpr uint32_t kNotInWave = UINT32_MAX;
+
+    uint32_t label = 0; ///< journal id of the table label
+    /** Index into the shares being collected; kNotInWave between
+     * collect() calls. */
+    uint32_t waveReq = kNotInWave;
+    bool seen = false;    ///< some wave carried the request this run
+    bool sawLast = false; ///< a wave carried the request's tail
+    bool complete = false;
     double arrival = 0.0;
+    double firstScatter = -1.0; ///< <0 = not scattered yet
+    double completed = 0.0;
+    double transferSeconds = 0.0;
+    double computeSeconds = 0.0;
+    uint64_t elementsTotal = 0; ///< gen-0 elements issued
+    uint64_t elementsDone = 0;  ///< healthy gathered elements
+    uint64_t waves = 0;
+};
+
+/**
+ * Every request's ReqAcc for one run, in a dense vector indexed by
+ * slot = id - base. The base is BatchQueue::oldestId() when the run
+ * starts and queue ids are dense from there, so the vector holds as
+ * many slots as the run serves requests (plus any consumed before
+ * the run from the middle of that id range), however large the ids.
+ * Slots are in id order.
+ */
+class RequestSlots
+{
+  public:
+    explicit RequestSlots(uint64_t base) : base_(base) {}
+
+    ReqAcc& operator[](uint64_t id)
+    {
+        assert(id >= base_ && id - base_ < accs_.size());
+        return accs_[id - base_];
+    }
+
+    /**
+     * Collapse a wave's items into per-request shares, in order of
+     * first appearance, deduplicating through the slots. A request
+     * seen for the first time takes @p label and its first item's
+     * arrival. With @p itemReq, also record each item's index into
+     * the returned shares.
+     */
+    std::vector<WaveReq>
+    collect(const Wave& w, uint32_t label,
+            std::vector<uint32_t>* itemReq = nullptr)
+    {
+        std::vector<WaveReq> reqs;
+        if (itemReq)
+            itemReq->clear();
+        for (const WaveItem& it : w.items) {
+            assert(it.requestId >= base_);
+            const uint64_t slot = it.requestId - base_;
+            if (slot >= accs_.size())
+                accs_.resize(slot + 1);
+            ReqAcc& acc = accs_[slot];
+            if (!acc.seen) {
+                acc.seen = true;
+                acc.label = label;
+                acc.arrival = it.arrivalSeconds;
+            }
+            if (acc.waveReq == ReqAcc::kNotInWave) {
+                acc.waveReq = static_cast<uint32_t>(reqs.size());
+                reqs.push_back({it.requestId, 0, false});
+            }
+            if (itemReq)
+                itemReq->push_back(acc.waveReq);
+            WaveReq& r = reqs[acc.waveReq];
+            r.elements += it.elements;
+            r.last = r.last || it.last;
+        }
+        for (const WaveReq& r : reqs)
+            (*this)[r.id].waveReq = ReqAcc::kNotInWave;
+        return reqs;
+    }
+
+    uint64_t base() const { return base_; }
+    const std::vector<ReqAcc>& slots() const { return accs_; }
+
+  private:
+    uint64_t base_;
+    std::vector<ReqAcc> accs_;
 };
 
 /** Everything one in-flight wave carries between its begin (scatter)
@@ -72,40 +160,13 @@ struct WaveExec
     std::vector<float> stagingIn;  ///< packed item inputs
     std::vector<ShardTask> slices; ///< one per participating DPU
     std::vector<uint64_t> itemStart; ///< wave-relative item offsets
+    uint32_t label = 0; ///< journal id of the wave's table label
     std::vector<WaveReq> reqs; ///< unique requests, item order
     std::vector<uint32_t> itemReq; ///< each item's index into reqs
     WaveStats stats;
     PipelineEvent scatterEv;
     PipelineEvent computeEv;
 };
-
-/** Collapse a wave's items into per-request shares, first-appearance
- * item order. With @p itemReq, also record each item's index into the
- * returned shares. */
-std::vector<WaveReq>
-collectWaveReqs(const Wave& w, std::vector<uint32_t>* itemReq = nullptr)
-{
-    std::vector<WaveReq> reqs;
-    // Index by request id so a wave of many thousands of items stays
-    // linear; output order is still first appearance in item order.
-    std::unordered_map<uint64_t, uint32_t> index;
-    index.reserve(w.items.size());
-    if (itemReq)
-        itemReq->clear();
-    for (const WaveItem& it : w.items) {
-        auto [pos, fresh] = index.try_emplace(
-            it.requestId, static_cast<uint32_t>(reqs.size()));
-        if (fresh)
-            reqs.push_back(
-                {it.requestId, 0, false, it.arrivalSeconds});
-        if (itemReq)
-            itemReq->push_back(pos->second);
-        WaveReq& r = reqs[pos->second];
-        r.elements += it.elements;
-        r.last = r.last || it.last;
-    }
-    return reqs;
-}
 
 /** Move the first @p budget elements of @p w into the returned wave;
  * @p w keeps the remainder. Items crossing the cut are split against
@@ -283,45 +344,38 @@ ServePipeline::run(BatchQueue& queue)
     // All of it runs on this (consumer) thread against modeled times
     // read off the timeline, so the journal's content is a pure
     // function of the workload — bit-identical at any thread count —
-    // and none of it feeds back into the modeled schedule.
+    // and none of it feeds back into the modeled schedule. Labels,
+    // kinds and notes travel as journal string ids; with events off
+    // no event is built at all, only the latency records.
     obs::Journal* const journal = opts_.journal;
     const bool trackReqs = journal != nullptr || tracer.enabled();
+    const bool events = journal && journal->eventsEnabled();
+    RequestSlots reqAccs(queue.oldestId());
 
-    struct ReqAcc
+    struct Kinds
     {
-        std::string table;
-        double arrival = 0.0;
-        double firstScatter = -1.0; ///< <0 = not scattered yet
-        double completed = 0.0;
-        double transferSeconds = 0.0;
-        double computeSeconds = 0.0;
-        uint64_t elementsTotal = 0; ///< gen-0 elements issued
-        uint64_t elementsDone = 0;  ///< healthy gathered elements
-        uint64_t waves = 0;
-        bool sawLast = false; ///< a wave carried the request's tail
-        bool complete = false;
-    };
-    std::map<uint64_t, ReqAcc> reqAccs;
+        uint32_t coalesce = 0, scatter = 0, broadcast = 0, compute = 0,
+                 anomaly = 0, gather = 0, done = 0, drop = 0, tune = 0;
+    } kind;
+    if (events)
+        kind = {journal->intern("coalesce"), journal->intern("scatter"),
+                journal->intern("broadcast"), journal->intern("compute"),
+                journal->intern("anomaly"),  journal->intern("gather"),
+                journal->intern("done"),     journal->intern("drop"),
+                journal->intern("tune")};
 
-    auto accFor = [&](const WaveReq& r,
-                      const TableKey& table) -> ReqAcc& {
-        auto [it, fresh] = reqAccs.try_emplace(r.id);
-        if (fresh) {
-            it->second.table = table.label;
-            it->second.arrival = r.arrival;
-        }
-        return it->second;
+    auto labelOf = [&](const TableKey& table) -> uint32_t {
+        return journal ? journal->intern(table.label) : 0;
     };
 
-    auto jev = [&](const char* kind, double t, double dur,
+    auto jev = [&](uint32_t kindId, double t, double dur,
                    uint64_t request, uint64_t wave, uint64_t elements,
-                   uint64_t cycles, int32_t rank,
-                   const std::string& table,
-                   const std::string& note = {}) {
-        if (!journal)
+                   uint64_t cycles, int32_t rank, uint32_t label,
+                   std::string_view note = {}) {
+        if (!events)
             return;
-        obs::JournalEvent ev;
-        ev.kind = kind;
+        obs::InternedEvent ev;
+        ev.kind = kindId;
         ev.t = t;
         ev.dur = dur;
         ev.request = request;
@@ -329,8 +383,8 @@ ServePipeline::run(BatchQueue& queue)
         ev.elements = elements;
         ev.cycles = cycles;
         ev.rank = rank;
-        ev.table = table;
-        ev.note = note;
+        ev.table = label;
+        ev.note = note.empty() ? 0 : journal->intern(note);
         journal->record(ev);
     };
 
@@ -539,19 +593,21 @@ ServePipeline::run(BatchQueue& queue)
             cache_.lookupOnRank(ex.wave.table, rank);
         ex.binding = found.binding;
         ex.stats.tableMiss = found.rankMiss;
+        ex.label = labelOf(ex.wave.table);
         uint64_t waveElems = ex.wave.elements();
         if (!ex.binding || !ex.binding->valid) {
             report.infeasibleElements += waveElems;
             if (trackReqs)
-                for (const WaveReq& r : collectWaveReqs(ex.wave)) {
-                    ReqAcc& acc = accFor(r, ex.wave.table);
+                for (const WaveReq& r :
+                     reqAccs.collect(ex.wave, ex.label)) {
+                    ReqAcc& acc = reqAccs[r.id];
                     if (ex.generation == 0) {
                         acc.elementsTotal += r.elements;
                         acc.sawLast = acc.sawLast || r.last;
                     }
-                    jev("drop", chain, 0.0, r.id,
+                    jev(kind.drop, chain, 0.0, r.id,
                         obs::JournalEvent::kNoWave, r.elements, 0, rank,
-                        ex.wave.table.label, "no valid table binding");
+                        ex.label, "no valid table binding");
                 }
             return false;
         }
@@ -637,27 +693,27 @@ ServePipeline::run(BatchQueue& queue)
         // Tuner redirect: stamp the decision on the wave it first
         // applies to, at scatter start, tagged with the tenant and
         // the executing rank.
-        if (journal && !tuneNote.empty()) {
-            obs::JournalEvent ev;
-            ev.kind = "tune";
+        if (events && !tuneNote.empty()) {
+            obs::InternedEvent ev;
+            ev.kind = kind.tune;
             ev.t = ex.scatterEv.start;
             ev.wave = ex.waveIndex;
             ev.elements = ex.stats.elements;
             ev.rank = rank;
             ev.tenant = ex.wave.tenant;
-            ev.table = ex.wave.table.label;
-            ev.note = tuneNote;
+            ev.table = ex.label;
+            ev.note = journal->intern(tuneNote);
             journal->record(ev);
         }
 
         // Per-request span accounting (post-split, so every element
         // is attributed to exactly the wave that carries it).
         if (trackReqs) {
-            ex.reqs = collectWaveReqs(ex.wave, &ex.itemReq);
+            ex.reqs = reqAccs.collect(ex.wave, ex.label, &ex.itemReq);
             const double waveXfer =
                 ex.stats.broadcastSeconds + ex.stats.scatterSeconds;
             for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
+                ReqAcc& acc = reqAccs[r.id];
                 ++acc.waves;
                 if (acc.firstScatter < 0.0)
                     acc.firstScatter = ex.scatterEv.start;
@@ -674,18 +730,15 @@ ServePipeline::run(BatchQueue& queue)
                     else
                         tracer.flowStep(flowName, "serve", r.id);
                 }
-                jev("coalesce", ex.scatterEv.start, 0.0, r.id,
-                    ex.waveIndex, r.elements, 0, rank,
-                    ex.wave.table.label);
-                jev("scatter", ex.scatterEv.start,
+                jev(kind.coalesce, ex.scatterEv.start, 0.0, r.id,
+                    ex.waveIndex, r.elements, 0, rank, ex.label);
+                jev(kind.scatter, ex.scatterEv.start,
                     ex.scatterEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, 0, rank,
-                    ex.wave.table.label);
+                    r.elements, 0, rank, ex.label);
             }
             if (ex.stats.tableMiss && ex.stats.broadcastSeconds > 0.0)
-                jev("broadcast", bcastEv.start, bcastEv.seconds(), 0,
-                    ex.waveIndex, 0, 0, rank,
-                    ex.wave.table.label);
+                jev(kind.broadcast, bcastEv.start, bcastEv.seconds(), 0,
+                    ex.waveIndex, 0, 0, rank, ex.label);
         }
         ++rankWaves[rank];
         report.rankStats[rank].waves += 1;
@@ -742,27 +795,26 @@ ServePipeline::run(BatchQueue& queue)
                     reg.counter("serve/anomaly/straggler_dpus")
                         .add(stragglers);
                 }
-                jev("anomaly", ex.computeEv.start,
-                    ex.computeEv.seconds(), 0, ex.waveIndex,
-                    ex.stats.elements, sliceCycles.back(),
-                    rank, ex.wave.table.label,
-                    "max " + std::to_string(sliceCycles.back()) +
-                        " cycles vs median " +
-                        std::to_string(ex.stats.medianCycles) +
-                        " across " +
-                        std::to_string(sliceCycles.size()) +
-                        " slices");
+                if (events)
+                    jev(kind.anomaly, ex.computeEv.start,
+                        ex.computeEv.seconds(), 0, ex.waveIndex,
+                        ex.stats.elements, sliceCycles.back(), rank,
+                        ex.label,
+                        "max " + std::to_string(sliceCycles.back()) +
+                            " cycles vs median " +
+                            std::to_string(ex.stats.medianCycles) +
+                            " across " +
+                            std::to_string(sliceCycles.size()) +
+                            " slices");
             }
         }
 
         if (trackReqs)
             for (const WaveReq& r : ex.reqs) {
-                ReqAcc& acc = accFor(r, ex.wave.table);
-                acc.computeSeconds += ex.computeEv.seconds();
-                jev("compute", ex.computeEv.start,
+                reqAccs[r.id].computeSeconds += ex.computeEv.seconds();
+                jev(kind.compute, ex.computeEv.start,
                     ex.computeEv.seconds(), r.id, ex.waveIndex,
-                    r.elements, ex.stats.maxCycles, rank,
-                    ex.wave.table.label);
+                    r.elements, ex.stats.maxCycles, rank, ex.label);
             }
     };
 
@@ -844,20 +896,19 @@ ServePipeline::run(BatchQueue& queue)
         if (trackReqs)
             for (size_t k = 0; k < ex.reqs.size(); ++k) {
                 const WaveReq& r = ex.reqs[k];
-                ReqAcc& acc = accFor(r, ex.wave.table);
+                ReqAcc& acc = reqAccs[r.id];
                 acc.transferSeconds += gatherEv.seconds();
-                jev("gather", gatherEv.start, gatherEv.seconds(),
-                    r.id, ex.waveIndex, r.elements, 0, rank,
-                    ex.wave.table.label);
+                jev(kind.gather, gatherEv.start, gatherEv.seconds(),
+                    r.id, ex.waveIndex, r.elements, 0, rank, ex.label);
                 acc.elementsDone += gathered[k];
                 if (!acc.complete && acc.sawLast &&
                     acc.elementsTotal > 0 &&
                     acc.elementsDone == acc.elementsTotal) {
                     acc.complete = true;
                     acc.completed = gatherEv.end;
-                    jev("done", gatherEv.end, 0.0, r.id,
+                    jev(kind.done, gatherEv.end, 0.0, r.id,
                         ex.waveIndex, acc.elementsTotal, 0, rank,
-                        ex.wave.table.label);
+                        ex.label);
                     if (tracer.enabled())
                         tracer.flowEnd("req " + std::to_string(r.id),
                                        "serve", r.id);
@@ -867,12 +918,12 @@ ServePipeline::run(BatchQueue& queue)
         if (retryElems > 0) {
             if (ex.generation + 1 > kRetryWaves) {
                 report.droppedElements += retryElems;
-                if (trackReqs)
-                    for (const WaveReq& r : collectWaveReqs(retry))
-                        jev("drop", gatherEv.end, 0.0, r.id,
+                if (events)
+                    for (const WaveReq& r :
+                         reqAccs.collect(retry, ex.label))
+                        jev(kind.drop, gatherEv.end, 0.0, r.id,
                             ex.waveIndex, r.elements, 0, rank,
-                            retry.table.label,
-                            "retry budget exhausted");
+                            ex.label, "retry budget exhausted");
                 if (reg.enabled())
                     reg.counter("serve/retry/dropped_elements")
                         .add(retryElems);
@@ -972,17 +1023,19 @@ ServePipeline::run(BatchQueue& queue)
     const double drainT = timeline.makespan();
     for (const PendingWave& pw : retries) {
         report.droppedElements += pw.wave.elements();
-        if (trackReqs)
-            for (const WaveReq& r : collectWaveReqs(pw.wave)) {
-                ReqAcc& acc = accFor(r, pw.wave.table);
+        if (trackReqs) {
+            const uint32_t label = labelOf(pw.wave.table);
+            for (const WaveReq& r : reqAccs.collect(pw.wave, label)) {
+                ReqAcc& acc = reqAccs[r.id];
                 if (pw.generation == 0) {
                     acc.elementsTotal += r.elements;
                     acc.sawLast = acc.sawLast || r.last;
                 }
-                jev("drop", drainT, 0.0, r.id,
+                jev(kind.drop, drainT, 0.0, r.id,
                     obs::JournalEvent::kNoWave, r.elements, 0, -1,
-                    pw.wave.table.label, "out of cores");
+                    label, "out of cores");
             }
+        }
     }
     retries.clear();
 
@@ -998,19 +1051,23 @@ ServePipeline::run(BatchQueue& queue)
                       report.infeasibleElements == 0 &&
                       queue.closed() && queue.depth() == 0;
 
-    // Finalize one RequestLatency per tracked request. The std::map
-    // iterates in request-id order, and every timestamp came off the
-    // modeled timeline — the journal serializes byte-identically at
-    // any thread count. Decomposition identity (complete requests):
+    // Finalize one latency record per tracked request. Slots run in
+    // request-id order, and every timestamp came off the modeled
+    // timeline — the journal serializes byte-identically at any
+    // thread count. Decomposition identity (complete requests):
     //   latency = queueWait + transfer + compute + stall
     // holds exactly because stall is defined as the residual; it goes
     // negative when a multi-wave request's legs overlap in the
     // double-buffered schedule (legs then sum past the span).
     if (journal) {
-        for (const auto& [id, acc] : reqAccs) {
-            obs::RequestLatency lat;
-            lat.request = id;
-            lat.table = acc.table;
+        const std::vector<ReqAcc>& slots = reqAccs.slots();
+        for (size_t slot = 0; slot < slots.size(); ++slot) {
+            const ReqAcc& acc = slots[slot];
+            if (!acc.seen)
+                continue;
+            obs::InternedLatency lat;
+            lat.request = reqAccs.base() + slot;
+            lat.table = acc.label;
             lat.elements = acc.elementsTotal;
             lat.waves = acc.waves;
             lat.complete = acc.complete;

@@ -401,7 +401,7 @@ PimSystem::launchShards(const char* spanName, uint32_t numTasklets,
         // The per-DPU slice lands on whichever pool thread ran it,
         // exercising the tracer's per-thread buffers.
         const double t0 = tracing ? tracer.nowUs() : 0.0;
-        cycles[k] = dpus_[d]->launch(numTasklets, kernels[k]).cycles;
+        cycles[k] = dpus_[d]->execute(numTasklets, kernels[k]).cycles;
         if (tracing)
             tracer.complete("dpu " + std::to_string(d), "dpu", t0,
                             tracer.nowUs() - t0,
@@ -412,7 +412,10 @@ PimSystem::launchShards(const char* spanName, uint32_t numTasklets,
     // Sequential failure sweep: apply the launch timeout, mask newly
     // failed cores, and cap their cycle contribution (the host fences
     // a straggler at the timeout; a hard-failed core contributed 0).
+    // Each shard's energy is added here, in shard order, so the
+    // real-valued sum is the same at any thread count.
     obs::Registry& reg = obs::Registry::global();
+    obs::RealAccum* energy = nullptr;
     LaunchReport report;
     for (size_t k = 0; k < m; ++k) {
         if (!ran[k]) {
@@ -420,10 +423,15 @@ PimSystem::launchShards(const char* spanName, uint32_t numTasklets,
             continue;
         }
         ++report.attempted;
-        if (!faults_)
-            continue;
         const uint32_t d = shards[k].dpu;
         const LaunchStats& st = dpus_[d]->lastLaunch();
+        if (reg.enabled() && !st.failed) {
+            if (!energy)
+                energy = &reg.real("pimsim/dpu/energy_joules");
+            energy->add(st.energyJoules);
+        }
+        if (!faults_)
+            continue;
         report.faultEvents += st.faultEvents;
         bool failed = st.failed;
         if (!failed && policy_.launchTimeoutCycles > 0 &&

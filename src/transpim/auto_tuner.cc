@@ -249,11 +249,12 @@ OnlineAutoTuner::checkSla(Stream& s, Candidate& c)
     bool bad = false;
     const double rmseBound =
         s.sla.maxRmse > 0.0 ? s.sla.maxRmse : s.implicitRmse;
+    // Accuracy bounds are written so that a NaN error violates them.
     if (rmseBound > 0.0 && c.errorSamples > 0 &&
-        c.rmse() > rmseBound)
+        !(c.rmse() <= rmseBound))
         bad = true;
     if (s.sla.maxUlp > 0.0 && c.errorSamples > 0 &&
-        c.maxUlp > s.sla.maxUlp)
+        !(c.maxUlp <= s.sla.maxUlp))
         bad = true;
     if (s.sla.maxCyclesPerElement > 0.0 && c.elements > 0 &&
         cyclesScore(s, c) > s.sla.maxCyclesPerElement)

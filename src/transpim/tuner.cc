@@ -143,7 +143,8 @@ recommendSpec(Function f, double targetRmse,
             }
             bool relative = useRelative(f, constraints.metric);
             double rmse = measureRmse(eval, inputs, relative);
-            if (rmse > targetRmse)
+            // Written so that a NaN rmse fails the target too.
+            if (!(rmse <= targetRmse))
                 continue; // not accurate enough yet; raise the knob
 
             // Accuracy target met: measure the per-eval cost.

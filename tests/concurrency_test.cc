@@ -383,6 +383,62 @@ mixedFaultPlan()
 
 } // namespace
 
+TEST(Determinism, EnergyMetricSumIsThreadCountIndependent)
+{
+    // The registry's real-valued energy sum gets one addend per
+    // launched shard. The shards' energies have similar magnitudes
+    // and unrelated mantissas, so adding them in thread-scheduling
+    // order would round differently from the serial order; each
+    // launch's sum must be bit-identical at 1 and 4 threads.
+    constexpr uint32_t numDpus = 64;
+    obs::Registry& reg = obs::Registry::global();
+    const bool regWasEnabled = reg.enabled();
+    reg.setEnabled(true);
+    sim::ThreadPool pool(4);
+    sim::PimSystem serialSys(numDpus), parallelSys(numDpus);
+    serialSys.setSimThreads(1);
+    parallelSys.setSimThreads(4);
+    parallelSys.setThreadPool(&pool);
+    std::vector<sim::ShardTask> slices(numDpus);
+    for (uint32_t d = 0; d < numDpus; ++d)
+        slices[d].dpu = d;
+    sim::PipelineTimeline serialTimeline(numDpus);
+    sim::PipelineTimeline parallelTimeline(numDpus);
+    auto energyOf = [&](sim::PimSystem& sys,
+                        sim::PipelineTimeline& timeline,
+                        uint32_t launch) {
+        reg.reset();
+        sys.launchAsync(
+            timeline, 0.0, 4, slices,
+            [launch](const sim::ShardTask& t) -> sim::Kernel {
+                const uint32_t work =
+                    (1u << 20) +
+                    ((2654435761u * (t.dpu + 64 * launch)) >> 12);
+                // Even shards take far more wall time than odd ones,
+                // so pool threads finish them out of order.
+                const uint32_t spins = t.dpu % 2 ? 0 : 20000;
+                return [work, spins](sim::TaskletContext& ctx) {
+                    volatile uint64_t spin = 0;
+                    for (uint32_t i = 0; i < spins; ++i)
+                        spin = spin + i;
+                    ctx.charge(work + ctx.taskletId());
+                };
+            });
+        return reg.real("pimsim/dpu/energy_joules").value();
+    };
+    for (uint32_t launch = 0; launch < 16; ++launch) {
+        const double serial = energyOf(serialSys, serialTimeline, launch);
+        const double parallel =
+            energyOf(parallelSys, parallelTimeline, launch);
+        EXPECT_GT(serial, 0.0);
+        EXPECT_EQ(0, std::memcmp(&serial, &parallel, sizeof(double)))
+            << "launch " << launch << ": " << std::hexfloat << serial
+            << " vs " << parallel;
+    }
+    reg.reset();
+    reg.setEnabled(regWasEnabled);
+}
+
 TEST(Determinism, FaultPlanIsThreadCountIndependent)
 {
     constexpr uint32_t numDpus = 8;

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "pimsim/obs/journal.h"
@@ -52,7 +54,7 @@ struct RunResult
 
 RunResult
 runServe(uint32_t simThreads, bool withJournal,
-         const char* faultPlanText = nullptr)
+         const char* faultPlanText = nullptr, bool events = true)
 {
     PimSystem sys(4);
     sys.setSimThreads(simThreads);
@@ -72,6 +74,7 @@ runServe(uint32_t simThreads, bool withJournal,
                 static_cast<float>(in.size());
 
     obs::Journal journal;
+    journal.setEventsEnabled(events);
     serve::BatchQueue queue;
     if (withJournal)
         queue.setJournal(&journal);
@@ -108,6 +111,24 @@ countEvents(const std::vector<obs::JournalEvent>& evs,
         if (ev.kind == kind && ev.request == request)
             ++n;
     return n;
+}
+
+/** The `latency` lines of a JSONL journal, in order. */
+std::string
+latencyLines(const std::string& jsonl)
+{
+    std::string out;
+    size_t pos = 0;
+    while (pos < jsonl.size()) {
+        size_t eol = jsonl.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = jsonl.size() - 1;
+        const std::string line = jsonl.substr(pos, eol + 1 - pos);
+        if (line.find("\"kind\": \"latency\"") != std::string::npos)
+            out += line;
+        pos = eol + 1;
+    }
+    return out;
 }
 
 } // namespace
@@ -200,6 +221,166 @@ TEST(Journal, StatisticsNeutralWhenAttached)
     // And the off run really recorded nothing.
     EXPECT_TRUE(off.jsonl.empty());
     EXPECT_FALSE(on.jsonl.empty());
+}
+
+TEST(Journal, EventsOffRecordsNoEventsAndTheSameLatencies)
+{
+    // A clean run and one where DPU 1 dies mid-run (its slices retry
+    // on the survivors): with events off the journal holds no event,
+    // and its latency lines are the events-on run's, byte for byte.
+    for (const char* plan :
+         {static_cast<const char*>(nullptr),
+          "seed 5\nfault kind=dpu-hard-fail dpu=1 prob=1\n"}) {
+        RunResult on = runServe(1, true, plan, true);
+        RunResult off = runServe(1, true, plan, false);
+        ASSERT_TRUE(on.rep.complete);
+        ASSERT_TRUE(off.rep.complete);
+        EXPECT_FALSE(on.events.empty());
+        EXPECT_TRUE(off.events.empty());
+        ASSERT_EQ(off.latencies.size(), 3u);
+        EXPECT_EQ(off.jsonl, latencyLines(off.jsonl));
+        EXPECT_EQ(off.jsonl, latencyLines(on.jsonl));
+        EXPECT_EQ(off.makespan, on.makespan);
+    }
+}
+
+TEST(Journal, InternedStringsResolveAtReadTime)
+{
+    obs::Journal j;
+    EXPECT_EQ(j.intern(""), 0u);
+    const uint32_t sin = j.intern("sin table");
+    EXPECT_NE(sin, 0u);
+    EXPECT_EQ(j.intern("sin table"), sin);
+    EXPECT_NE(j.intern("cos table"), sin);
+
+    obs::InternedEvent ev;
+    ev.kind = j.intern("compute");
+    ev.table = sin;
+    ev.request = 7;
+    j.record(ev);
+    obs::JournalEvent text;
+    text.kind = "compute";
+    text.table = "sin table";
+    text.request = 7;
+    text.note = "by text";
+    j.record(text);
+    obs::InternedLatency lat;
+    lat.request = 7;
+    lat.table = sin;
+    j.recordLatency(lat);
+
+    const std::vector<obs::JournalEvent> evs = j.events();
+    ASSERT_EQ(evs.size(), 2u);
+    for (const obs::JournalEvent& e : evs) {
+        EXPECT_EQ(e.kind, "compute");
+        EXPECT_EQ(e.table, "sin table");
+        EXPECT_EQ(e.request, 7u);
+    }
+    EXPECT_EQ(evs[0].note, "");
+    EXPECT_EQ(evs[1].note, "by text");
+    ASSERT_EQ(j.latencies().size(), 1u);
+    EXPECT_EQ(j.latencies()[0].table, "sin table");
+
+    // Ids survive clear(); the records do not.
+    j.clear();
+    EXPECT_TRUE(j.events().empty());
+    EXPECT_EQ(j.intern("sin table"), sin);
+}
+
+TEST(Journal, JsonlSortsKindsAsTextNotById)
+{
+    // "scatter" is interned before "compute", but at equal t the
+    // canonical order is by kind text: compute first.
+    obs::Journal j;
+    for (const char* kind : {"scatter", "compute"}) {
+        obs::JournalEvent ev;
+        ev.kind = kind;
+        ev.t = 1.0;
+        j.record(ev);
+    }
+    const std::string jsonl = j.toJsonl();
+    EXPECT_LT(jsonl.find("compute"), jsonl.find("scatter")) << jsonl;
+}
+
+TEST(BatchQueue, PushRecordsNoEnqueueEventWhenEventsAreOff)
+{
+    obs::Journal journal;
+    journal.setEventsEnabled(false);
+    serve::BatchQueue queue;
+    queue.setJournal(&journal);
+    serve::TableKey key;
+    key.hash = 1;
+    key.label = "a label well past the small-string limit";
+    float in[4] = {}, out[4] = {};
+    queue.push(makeRequest(key, in, out, 4));
+    EXPECT_TRUE(journal.events().empty());
+
+    journal.setEventsEnabled(true);
+    queue.push(makeRequest(key, in, out, 4, 0.5));
+    const std::vector<obs::JournalEvent> evs = journal.events();
+    ASSERT_EQ(evs.size(), 1u);
+    EXPECT_EQ(evs[0].kind, "enqueue");
+    EXPECT_EQ(evs[0].request, 2u);
+    EXPECT_EQ(evs[0].table, key.label);
+    EXPECT_EQ(evs[0].t, 0.5);
+}
+
+TEST(Journal, RetryWaveSplittingOneRequestStillJournalsItOnce)
+{
+    // One 256-element wave over 4 DPUs x 64: request 2 (192 elements)
+    // spans all four slices. DPUs 0 and 2 die at launch, so the
+    // retry wave carries two separate items of request 2 (failed,
+    // healthy, failed slices). Per request and wave there must still
+    // be exactly one coalesce / scatter / compute / gather.
+    PimSystem sys(4);
+    auto plan = fault::FaultPlan::parse(
+        "seed 3\nfault kind=dpu-hard-fail dpu=0 prob=1\n"
+        "fault kind=dpu-hard-fail dpu=2 prob=1\n");
+    ASSERT_TRUE(plan.has_value());
+    sys.armFaults(*plan);
+    EvaluatorCatalog catalog;
+    serve::TableKey key = catalog.add(Function::Sin, MethodSpec{});
+    std::vector<float> in(256), out(256, 0.0f);
+    for (uint32_t i = 0; i < in.size(); ++i)
+        in[i] = 3.0f * static_cast<float>(i) / in.size();
+
+    obs::Journal journal;
+    serve::BatchQueue queue;
+    queue.setJournal(&journal);
+    queue.push(makeRequest(key, in.data(), out.data(), 32));
+    queue.push(makeRequest(key, in.data() + 32, out.data() + 32, 192));
+    queue.push(makeRequest(key, in.data() + 224, out.data() + 224, 32));
+    queue.close();
+    serve::PipelineOptions popts;
+    popts.numTasklets = 4;
+    popts.perDpuElements = 64;
+    popts.journal = &journal;
+    serve::ServePipeline pipeline(sys, catalog.provider(), popts);
+    serve::ServeReport rep = pipeline.run(queue);
+    ASSERT_TRUE(rep.complete);
+    ASSERT_EQ(rep.waves, 2u);
+    EXPECT_EQ(rep.reshardedElements, 128u);
+
+    std::map<std::tuple<std::string, uint64_t, uint64_t>, int> seen;
+    for (const obs::JournalEvent& ev : journal.events())
+        if (ev.wave != obs::JournalEvent::kNoWave && ev.request != 0)
+            ++seen[{ev.kind, ev.request, ev.wave}];
+    for (const char* kind : {"coalesce", "scatter", "compute", "gather"})
+        for (uint64_t wave : {0u, 1u})
+            for (uint64_t req : {1u, 2u, 3u}) {
+                // Request 3 sat on healthy DPU 3: it rode wave 0 only.
+                const int want = req == 3 && wave == 1 ? 0 : 1;
+                EXPECT_EQ((seen[{kind, req, wave}]), want)
+                    << kind << " request " << req << " wave " << wave;
+            }
+    const std::vector<obs::RequestLatency> lats = journal.latencies();
+    ASSERT_EQ(lats.size(), 3u);
+    EXPECT_EQ(lats[1].request, 2u);
+    EXPECT_EQ(lats[1].waves, 2u);
+    EXPECT_EQ(lats[1].elements, 192u);
+    for (const obs::RequestLatency& lat : lats)
+        EXPECT_TRUE(lat.complete) << lat.request;
+    EXPECT_EQ(countEvents(journal.events(), "done", 2), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 #include "transpim/harness.h"
 #include "transpim/tuner.h"
@@ -72,6 +74,24 @@ TEST(Tuner, RoomyMemoryPrefersLutFamily)
     EXPECT_TRUE(m == Method::LLut || m == Method::LLutFixed ||
                 m == Method::DlLut || m == Method::DLut)
         << methodLabel(rec->best.spec);
+}
+
+TEST(Tuner, NanRmseNeverMeetsTheTarget)
+{
+    // An interpolated DL-LUT for log measures a NaN rmse on this
+    // budget (some outputs below 2^-5 are NaN). A NaN must fail the
+    // accuracy target, never pass it.
+    TunerConstraints c;
+    c.placement = Placement::Mram;
+    c.maxTableBytes = 1u << 20;
+    auto rec = recommendSpec(Function::Log, 1e-5, c);
+    if (!rec)
+        return; // no method meets the target: nothing was accepted
+    EXPECT_FALSE(std::isnan(rec->best.rmse))
+        << methodLabel(rec->best.spec);
+    EXPECT_LE(rec->best.rmse, 1e-5);
+    for (const auto& cand : rec->candidates)
+        EXPECT_FALSE(std::isnan(cand.rmse)) << methodLabel(cand.spec);
 }
 
 TEST(Tuner, FixedPointCanBeDisabled)
